@@ -10,7 +10,7 @@ __version__ = "0.1.0"
 from .statevec import (                                      # noqa: F401
     Register, LevelSubset, MeasurementRecord, CapacityError,
     init_register, apply_fourier, apply_pauli_power, apply_permutation,
-    apply_conditional_flip, emit_photon_cycle, apply_cz_power,
+    apply_conditional_flip, apply_cz_power,
     measure, enumerate_outcomes, bin_string, bin_index,
 )
 from .graphs import (                                        # noqa: F401

@@ -261,31 +261,21 @@ class TimingReport:
 
 
 def _instruction_steps(ins, table, cavity):
-    """Map one instruction to table rows; unmapped kinds raise KeyError."""
-    if ins.op == "fourier":
-        row = table.row("fourier")
-        return [BudgetStep("fourier", "fourier", _fid(row), row.duration_us)]
-    if ins.op == "permute":
-        row = table.row("nmr")
-        hops = abs(ins.a - ins.b)
-        return [BudgetStep("permute", "nmr", _fid(row), row.duration_us)
-                ] * hops
-    if ins.op == "edsr":
-        row = table.row("edsr")
-        return [BudgetStep("edsr", "edsr", _fid(row), row.duration_us)]
+    """Charge one instruction the table row ``protocols.OPS`` names.
+
+    A table without that row raises KeyError.  Emission and idle are charged
+    a duration, and a permutation one NMR step per level hop.
+    """
     if ins.op == "emit":
         t_e = emission_time(cavity.g_s_mhz).raw_us
         return [BudgetStep("emit", None, 1.0, (t_e, t_e))]
-    if ins.op == "cz":
-        row = table.row("cz")
-        return [BudgetStep("cz", "cz", _fid(row), row.duration_us)]
-    if ins.op == "measure":
-        row = table.row("measure")
-        return [BudgetStep("measure", "measure", _fid(row), row.duration_us)]
     if ins.op == "idle":
         dur = float(ins.duration or 0.0)
         return [BudgetStep("idle", None, 1.0, (dur, dur))]
-    raise KeyError(f"no budget mapping for instruction kind {ins.op!r}")
+    key = pr.OPS[ins.op].row
+    row = table.row(key)
+    hops = abs(ins.a - ins.b) if ins.op == "permute" else 1
+    return [BudgetStep(ins.op, key, _fid(row), row.duration_us)] * hops
 
 
 def _fid(row):

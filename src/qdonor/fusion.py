@@ -20,12 +20,6 @@ from . import graphs as gm
 from . import protocols as pr
 from . import statevec as sv
 
-# Frame of the Bell family used for the success projector.  The search over
-# both natural frames (see bell_state) shows only the one-sided Fourier
-# frame turns chain ends into the ring edge, so it is frozen as the default.
-DEFAULT_FRAME = "fourier"
-FRAMES = ("fourier", "computational")
-
 
 @dataclass(frozen=True)
 class FusionSpec:
@@ -108,25 +102,25 @@ def sample_attempts(p, trials, master_seed):
 # -- projective fusion -------------------------------------------------------
 
 
-def bell_state(d, a, b, frame=DEFAULT_FRAME):
+def bell_state(d, a, b):
     """Generalized Bell vector of label (a, b) as a d x d amplitude table.
 
-    frame="computational": (I x X^a Z^b) sum_k |kk>/sqrt(d).
-    frame="fourier":       (I x F X^a Z^b) sum_k |kk>/sqrt(d); the Fourier
-    on the second port is what converts a shared bond into a CZ edge.
+    The vector is (I x F X^a Z^b) sum_k |kk>/sqrt(d).  The Fourier on the
+    second port is what converts a shared bond into a CZ edge: projecting
+    the ends of a chain onto this family joins their neighbours, for every
+    outcome.  The computational-basis family (I x X^a Z^b) sum_k |kk>/sqrt(d)
+    does not: for no outcome does the depth-2 correction search turn the
+    fused 6- or 8-chain at d=2, or the 6-chain at d=3, into the contracted
+    chain graph.
     """
-    if frame not in FRAMES:
-        raise ValueError(f"unknown frame {frame!r}")
     base = np.zeros((d, d), dtype=np.complex128)
     omega = np.exp(2j * np.pi / d)
     for k in range(d):
         base[k, (k + a) % d] = omega ** ((b * k) % d) / math.sqrt(d)
-    if frame == "fourier":
-        base = base @ sv.fourier_matrix(d).T
-    return base
+    return base @ sv.fourier_matrix(d).T
 
 
-def project_pair(reg, i, j, a, b, frame=DEFAULT_FRAME, atol=1e-14):
+def project_pair(reg, i, j, a, b, atol=1e-14):
     """Project subsystems i, j onto Bell (a, b); both qudits are consumed.
 
     Returns (probability, collapsed register without i and j); errors on a
@@ -137,7 +131,7 @@ def project_pair(reg, i, j, a, b, frame=DEFAULT_FRAME, atol=1e-14):
     d = reg.radices[i]
     if reg.radices[j] != d:
         raise ValueError("fused qudits must share a dimension")
-    bell = bell_state(d, a, b, frame)
+    bell = bell_state(d, a, b)
     amps = np.tensordot(np.conj(bell), reg.amps, axes=([0, 1], [i, j]))
     prob = float(np.sum(np.abs(amps) ** 2))
     if prob <= atol:
@@ -148,14 +142,14 @@ def project_pair(reg, i, j, a, b, frame=DEFAULT_FRAME, atol=1e-14):
     return prob, out
 
 
-def enumerate_fusion_outcomes(reg, i, j, frame=DEFAULT_FRAME):
+def enumerate_fusion_outcomes(reg, i, j):
     """All d^2 Bell outcomes with probabilities and collapsed registers."""
     d = reg.radices[i]
     out = []
     for a in range(d):
         for b in range(d):
             try:
-                prob, collapsed = project_pair(reg, i, j, a, b, frame)
+                prob, collapsed = project_pair(reg, i, j, a, b)
             except ValueError:
                 out.append((a, b, 0.0, None))
                 continue
@@ -198,8 +192,8 @@ class FusionOutcome:
         }
 
 
-def fuse_chain_ends(reg, i=None, j=None, frame=DEFAULT_FRAME, outcome=(0, 0),
-                    depth=2, seed=None, atol=gm.STABILIZER_ATOL):
+def fuse_chain_ends(reg, i=None, j=None, outcome=(0, 0), depth=2, seed=None,
+                    atol=gm.STABILIZER_ATOL):
     """Fuse the end photons of a verified linear chain.
 
     The register must hold a canonical n-chain graph state (this is checked;
@@ -220,7 +214,7 @@ def fuse_chain_ends(reg, i=None, j=None, frame=DEFAULT_FRAME, outcome=(0, 0),
     chain = gm.make_linear(n, d)
     if not gm.stabilizer_verify(reg, chain, atol).passed:
         raise ValueError("register does not verify against the linear chain")
-    prob, collapsed = project_pair(reg, i, j, outcome[0], outcome[1], frame)
+    prob, collapsed = project_pair(reg, i, j, outcome[0], outcome[1])
     target = fused_chain_graph(n, d)
     attempts = None
     if seed is not None:
@@ -234,26 +228,6 @@ def fuse_chain_ends(reg, i=None, j=None, frame=DEFAULT_FRAME, outcome=(0, 0),
     rep = gm.stabilizer_verify(fixed, target, atol)
     return FusionOutcome(rep.passed, tuple(outcome), prob, fixed, corr,
                          rep.max_deviation, attempts)
-
-
-def survey_frames(n, d, depth=2):
-    """Which Bell outcomes in which frame yield the contracted-chain graph.
-
-    Builds the canonical n-chain, tries every outcome in both frames, and
-    reports the verifying labels; used to pin the frozen DEFAULT_FRAME.
-    """
-    reg = gm.build_graph_state(gm.make_linear(n, d))
-    result = {}
-    for frame in FRAMES:
-        good = []
-        for a in range(d):
-            for b in range(d):
-                out = fuse_chain_ends(reg, frame=frame, outcome=(a, b),
-                                      depth=depth)
-                if out.success:
-                    good.append((a, b))
-        result[frame] = good
-    return result
 
 
 # -- scheme comparison -------------------------------------------------------

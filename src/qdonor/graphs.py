@@ -236,10 +236,6 @@ class CorrectionSet:
         return out
 
 
-def identity_correction(n):
-    return CorrectionSet((0,) * n, (0,) * n)
-
-
 def apply_correction(reg, corr):
     out = reg
     for v in range(corr.n):
@@ -301,16 +297,14 @@ def local_correction_search(reg, g, search_depth=1, atol=STABILIZER_ATOL):
         return corr
     if search_depth == 1:
         return None
+    zeros = (0,) * g.n
     for fvec in _fourier_vectors(g.n):
         if not any(fvec):
             continue  # depth-1 case already tried
-        trial = reg
-        for v, f in enumerate(fvec):
-            for _ in range(f):
-                trial = sv.apply_fourier(trial, v)
+        trial = apply_correction(reg, CorrectionSet(zeros, zeros, fvec))
         corr = _phase_fix(trial, g, atol)
         if corr is not None:
-            return CorrectionSet(corr.x_powers, corr.z_powers, tuple(fvec))
+            return CorrectionSet(corr.x_powers, corr.z_powers, fvec)
     return None
 
 

@@ -12,6 +12,7 @@ emitter), then the shared electron, then photons in emission order.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
@@ -23,12 +24,50 @@ from . import graphs as gm
 
 MAX_SINGLE_PHOTON_D = 8
 
-_TAGS = ("fourier", "permute", "edsr", "emit", "cz", "measure", "idle")
+
+@dataclass(frozen=True)
+class Op:
+    """What one instruction tag carries and what the budget charges for it.
+
+    ``fields`` maps each field to int, float or tuple (of level ints), and
+    ``optional`` names the ones that may be left out.  ``row`` is the
+    operation-table row charged per step, None where the charge is a
+    duration.
+    """
+
+    fields: dict
+    row: str | None
+    optional: tuple = ()
+
+
+OPS = {
+    "fourier": Op({"emitter": int, "levels": tuple}, "fourier", ("levels",)),
+    "permute": Op({"emitter": int, "a": int, "b": int}, "nmr"),
+    "edsr": Op({"emitter": int, "control_level": int}, "edsr"),
+    "emit": Op({"emitter": int, "photon": int, "bin": int}, None),
+    "cz": Op({"emitter": int, "other": int, "weight": int}, "cz",
+             ("weight",)),
+    "measure": Op({"emitter": int}, "measure"),
+    "idle": Op({"emitter": int, "duration": float}, None, ("duration",)),
+}
+
+# Index fields and the Program header entry that bounds them.
+_INDEX_BOUNDS = {"emitter": "n_emitters", "other": "n_emitters",
+                 "a": "d", "b": "d", "control_level": "d", "levels": "d",
+                 "photon": "n_photons"}
+
+
+def _has_type(val, typ):
+    if typ is None or isinstance(val, bool):
+        return False
+    if typ is tuple:
+        return isinstance(val, tuple) and all(_has_type(x, int) for x in val)
+    return isinstance(val, (int, float) if typ is float else typ)
 
 
 @dataclass(frozen=True)
 class Instruction:
-    """One pulse-level step; unused fields stay None."""
+    """One pulse-level step; fields the tag does not carry stay None."""
 
     op: str
     emitter: int | None = None
@@ -43,25 +82,38 @@ class Instruction:
     duration: float | None = None      # idle, in microseconds
 
     def __post_init__(self):
-        if self.op not in _TAGS:
+        spec = OPS.get(self.op)
+        if spec is None:
             raise ValueError(f"unknown instruction tag {self.op!r}")
+        for f in dataclasses.fields(self)[1:]:     # every field after op
+            val, typ = getattr(self, f.name), spec.fields.get(f.name)
+            if val is None and typ is not None and f.name not in spec.optional:
+                raise ValueError(f"{self.op} instruction needs {f.name!r}")
+            if val is not None and not _has_type(val, typ):
+                raise ValueError(
+                    f"{self.op} instruction cannot have {f.name}={val!r}")
+        if self.duration is not None and self.duration < 0:
+            raise ValueError(f"negative idle duration {self.duration}")
 
     def to_dict(self):
-        out = {"op": self.op}
-        for key in ("emitter", "levels", "a", "b", "control_level", "photon",
-                    "bin", "other", "weight", "duration"):
-            val = getattr(self, key)
+        out = {}
+        for f in dataclasses.fields(self):
+            val = getattr(self, f.name)
             if val is not None:
-                out[key] = list(val) if isinstance(val, tuple) else val
+                out[f.name] = list(val) if isinstance(val, tuple) else val
         return out
 
     @classmethod
     def from_dict(cls, obj):
+        if not isinstance(obj, dict):
+            raise ValueError(f"instruction must be an object, got {obj!r}")
+        extra = sorted(set(obj) - {f.name for f in dataclasses.fields(cls)})
+        if extra:
+            raise ValueError(f"instruction has no field {extra[0]!r}")
         kw = dict(obj)
-        op = kw.pop("op")
-        if "levels" in kw and kw["levels"] is not None:
+        if isinstance(kw.get("levels"), list):
             kw["levels"] = tuple(kw["levels"])
-        return cls(op, **kw)
+        return cls(kw.pop("op", None), **kw)
 
 
 def fourier(emitter, levels=None):
@@ -109,9 +161,13 @@ class Program:
         seen_measure = set()
         bins_seen = {}
         for ins in self.instructions:
-            if ins.emitter is not None and not (
-                    0 <= ins.emitter < self.n_emitters):
-                raise ValueError(f"bad emitter id in {ins}")
+            for name, bound in _INDEX_BOUNDS.items():
+                val = getattr(ins, name)
+                vals = val if isinstance(val, tuple) else (val,)
+                limit = getattr(self, bound)
+                if val is not None and not all(0 <= v < limit for v in vals):
+                    raise ValueError(f"{name} out of range [0, {limit}) in "
+                                     f"{ins.to_dict()}")
             if ins.op == "measure":
                 if ins.emitter in seen_measure:
                     raise ValueError(
@@ -121,8 +177,6 @@ class Program:
                 raise ValueError(
                     f"instruction {ins} follows emitter measurement")
             if ins.op == "emit":
-                if not 0 <= ins.photon < self.n_photons:
-                    raise ValueError(f"bad photon id in {ins}")
                 prev = bins_seen.setdefault(ins.photon, -1)
                 if ins.bin != prev + 1:
                     raise ValueError(
@@ -216,6 +270,21 @@ def _paired_blocks(first_photon, d):
     return ins
 
 
+def _coupled_columns(d, cz_columns):
+    """Three columns of Fourier pair and paired emission, then readout.
+
+    The columns in ``cz_columns`` get a CZ right after their Fourier pair.
+    """
+    ins = []
+    for col in range(3):
+        ins += [fourier(0), fourier(1)]
+        if col in cz_columns:
+            ins.append(cz(0, 1))
+        ins += _paired_blocks(2 * col, d)
+    ins += [fourier(0), fourier(1), measure_donor(0), measure_donor(1)]
+    return Program(d, 2, 6, tuple(ins))
+
+
 def compile_six_ring(d):
     """Two coupled emitters close a six-photon ring with two CZ gates.
 
@@ -223,14 +292,7 @@ def compile_six_ring(d):
     second Fourier pair and the final emission round.
     """
     _check_dim(d)
-    ins = [fourier(0), fourier(1), cz(0, 1)]
-    ins += _paired_blocks(0, d)
-    ins += [fourier(0), fourier(1)]
-    ins += _paired_blocks(2, d)
-    ins += [fourier(0), fourier(1), cz(0, 1)]
-    ins += _paired_blocks(4, d)
-    ins += [fourier(0), fourier(1), measure_donor(0), measure_donor(1)]
-    return Program(d, 2, 6, tuple(ins))
+    return _coupled_columns(d, (0, 2))
 
 
 def compile_ladder(d, step_order="verified"):
@@ -246,20 +308,15 @@ def compile_ladder(d, step_order="verified"):
     _check_dim(d)
     if step_order not in ("verified", "literal"):
         raise ValueError(f"unknown step_order {step_order!r}")
-    if step_order == "literal":
-        ins = [fourier(0), fourier(1), cz(0, 1)]
-        ins += _paired_blocks(0, d)
-        ins += [fourier(0), fourier(1)]
-        ins += _paired_blocks(2, d)
-        ins += [cz(0, 1), fourier(0), fourier(1), cz(0, 1)]
-        ins += _paired_blocks(4, d)
-        ins += [measure_donor(0), measure_donor(1)]
-    else:
-        ins = []
-        for col in range(3):
-            ins += [fourier(0), fourier(1), cz(0, 1)]
-            ins += _paired_blocks(2 * col, d)
-        ins += [fourier(0), fourier(1), measure_donor(0), measure_donor(1)]
+    if step_order == "verified":
+        return _coupled_columns(d, (0, 1, 2))
+    ins = [fourier(0), fourier(1), cz(0, 1)]
+    ins += _paired_blocks(0, d)
+    ins += [fourier(0), fourier(1)]
+    ins += _paired_blocks(2, d)
+    ins += [cz(0, 1), fourier(0), fourier(1), cz(0, 1)]
+    ins += _paired_blocks(4, d)
+    ins += [measure_donor(0), measure_donor(1)]
     return Program(d, 2, 6, tuple(ins))
 
 
@@ -303,9 +360,6 @@ class ExecutionTrace:
     branches: tuple | None = None      # enumerate mode
     records: tuple = ()                # sampled mode MeasurementRecords
     sampled_photons: sv.Register | None = None
-
-    def checksum_dict(self):
-        return {i: c for i, c in enumerate(self.checksums)}
 
 
 def _checksum(reg):

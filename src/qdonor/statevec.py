@@ -332,23 +332,6 @@ def apply_emission(reg, photon, bin, electron=None, atol=NORM_ATOL):
     return Register(reg.radices, new, reg.labels, reg.cap)
 
 
-def emit_photon_cycle(reg, emitter, emission_level, photon, bin, electron=None):
-    """One EDSR excitation plus cavity exchange.
-
-    Net effect on the emission-level branch: |level>|down>|vac> ->
-    |level>|down>|bin>, identity on every other branch.  The electron must be
-    spin-down on all branches beforehand.
-    """
-    if electron is None:
-        electron = reg.electron_index()
-    sel_up = [slice(None)] * reg.n_subsystems
-    sel_up[electron] = ELECTRON_UP
-    if np.linalg.norm(reg.amps[tuple(sel_up)]) > NORM_ATOL:
-        raise ValueError("electron must start spin-down on all branches")
-    out = apply_conditional_flip(reg, (emitter, emission_level), electron)
-    return apply_emission(out, photon, bin, electron)
-
-
 def finalize_photon(reg, photon, atol=NORM_ATOL):
     """Contract a photon's vacuum level away once every bin has been visited."""
     vac = photon_vacuum_level(reg, photon)

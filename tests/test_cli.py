@@ -159,6 +159,37 @@ class TestBudgetCommand:
         assert run("budget", "--program", str(f), "--table", "single",
                    "--output", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("n_emitters,instructions", [
+        pytest.param(2, [{"op": "permute", "emitter": 0}], id="no-a-b"),
+        pytest.param(2, [{"op": "emit", "emitter": 0}], id="no-photon-bin"),
+        pytest.param(2, [{"op": "fourier", "emitter": 0, "colour": 1}],
+                     id="unknown-key"),
+        pytest.param(2, [{"op": "fourier", "emitter": "0"}],
+                     id="string-emitter"),
+        pytest.param(2, [{"op": "permute", "emitter": 0, "a": 0, "b": 40}],
+                     id="level-40"),
+        pytest.param(2, [{"op": "cz", "emitter": 0, "other": 7,
+                          "weight": 1}], id="emitter-7"),
+        pytest.param(2, [{"op": "permute", "emitter": 0, "a": 0, "b": 40},
+                         {"op": "cz", "emitter": 0, "other": 7,
+                          "weight": 1}], id="level-40-and-emitter-7"),
+        pytest.param(1, [{"op": "idle", "emitter": 0, "duration": -5.0}],
+                     id="negative-idle"),
+        pytest.param(1, [{"emitter": 0}], id="no-op"),
+        pytest.param(1, [7], id="not-an-object"),
+    ])
+    def test_malformed_program_exits_2(self, tmp_path, capsys, n_emitters,
+                                       instructions):
+        prog = {"d": 2, "n_emitters": n_emitters, "n_photons": 0,
+                "instructions": instructions}
+        f = tmp_path / "prog.json"
+        f.write_text(json.dumps(prog))
+        assert run("budget", "--program", str(f), "--table", "sb2",
+                   "--output", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not (tmp_path / "budget.json").exists()
+
     def test_sb2_table_budgets_cz(self, tmp_path):
         prog = {"d": 2, "n_emitters": 2, "n_photons": 0,
                 "instructions": [{"op": "cz", "emitter": 0, "other": 1,

@@ -78,12 +78,6 @@ class TestChainFusion:
                 out = fu.fuse_chain_ends(reg, outcome=(a, b), depth=1)
                 assert out.success, (a, b)
 
-    def test_computational_frame_does_not_make_the_ring(self):
-        reg = gm.build_graph_state(gm.make_linear(8, 2))
-        out = fu.fuse_chain_ends(reg, frame="computational", outcome=(0, 0),
-                                 depth=1)
-        assert not out.success
-
     def test_success_branch_stays_normalized(self):
         reg = gm.build_graph_state(gm.make_linear(8, 3))
         out = fu.fuse_chain_ends(reg)
@@ -128,10 +122,9 @@ class TestChainFusion:
 
 
 class TestBellStates:
-    @pytest.mark.parametrize("frame", fu.FRAMES)
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_orthonormal_family(self, d, frame):
-        vecs = [fu.bell_state(d, a, b, frame).reshape(-1)
+    def test_orthonormal_family(self, d):
+        vecs = [fu.bell_state(d, a, b).reshape(-1)
                 for a in range(d) for b in range(d)]
         gram = np.array([[np.vdot(u, v) for v in vecs] for u in vecs])
         assert np.allclose(gram, np.eye(d * d), atol=1e-12)

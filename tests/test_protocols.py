@@ -1,10 +1,15 @@
 """Protocol compilation, execution, and target verification."""
 
+import inspect
 import json
+import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qdonor import budget as bg
 from qdonor import graphs as gm
 from qdonor import protocols as pr
 from qdonor import statevec as sv
@@ -75,6 +80,101 @@ class TestCompilers:
         with pytest.raises(ValueError, match="bins must increase"):
             pr.Program(2, 1, 1, (
                 pr.fourier(0), pr.edsr(0, 0), pr.emit(0, 0, 1)))
+
+
+def one_of_every_tag():
+    """A d=3, two-emitter program with every instruction tag.
+
+    The Fourier spreads emitter 0 over levels 0 and 1 only, so the third
+    round of the emission block finds level 0 empty and the photon still
+    leaves no vacuum amplitude.
+    """
+    return pr.Program(3, 2, 1, (
+        pr.fourier(0, levels=(0, 1)), pr.cz(0, 1, weight=2), pr.idle(1, 2.5),
+        pr.edsr(0, 0), pr.emit(0, 0, 0),
+        pr.permute(0, 0, 1), pr.edsr(0, 0), pr.emit(0, 0, 1),
+        pr.permute(0, 0, 2), pr.edsr(0, 0), pr.emit(0, 0, 2),
+        pr.measure_donor(0), pr.measure_donor(1)))
+
+
+@st.composite
+def valid_programs(draw):
+    """Random programs that pass validation: d=2..8, one or two emitters,
+    every photon emitted through its bins in order, readout last."""
+    d = draw(st.integers(2, 8))
+    n_emitters = draw(st.integers(1, 2))
+    n_photons = draw(st.integers(0, 3))
+    emitter = st.integers(0, n_emitters - 1)
+    level = st.integers(0, d - 1)
+    others = draw(st.lists(st.one_of(
+        st.builds(pr.fourier, emitter, st.none() | st.lists(
+            level, min_size=2, max_size=d, unique=True)),
+        st.builds(pr.permute, emitter, level, level),
+        st.builds(pr.edsr, emitter, level),
+        st.builds(pr.cz, emitter, emitter, st.integers(-2 * d, 2 * d)),
+        st.builds(pr.Instruction, st.just("cz"), emitter=emitter,
+                  other=emitter),
+        st.builds(pr.idle, emitter, st.floats(0, 1e6)),
+        st.builds(pr.Instruction, st.just("idle"), emitter=emitter),
+    ), max_size=12))
+    emits = [pr.emit(draw(emitter), p, b)
+             for p in range(n_photons) for b in range(d)]
+    picks = draw(st.permutations([0] * len(others) + [1] * len(emits)))
+    streams = (iter(others), iter(emits))
+    ins = [next(streams[k]) for k in picks]
+    for e in draw(st.lists(emitter, unique=True)):
+        ins.append(pr.measure_donor(e))
+    return pr.Program(d, n_emitters, n_photons, tuple(ins))
+
+
+class TestInstructionTable:
+    def test_every_tag_validates_executes_and_budgets(self):
+        prog = one_of_every_tag()
+        assert {i.op for i in prog.instructions} == set(pr.OPS)
+        assert pr.Program.from_json(prog.to_json()) == prog
+        trace = pr.execute(prog, enumerate_all=True)
+        assert len(trace.checksums) == len(prog.instructions)
+        assert sum(b.probability for b in trace.branches) == pytest.approx(1)
+        rep = bg.timing_fidelity_budget(prog, bg.sb2_table())
+        # fourier, cz, idle, 3 edsr, 3 emissions at 1/3 us, 1 + 2 NMR hops,
+        # two molecule readouts
+        assert rep.duration_us[1] == pytest.approx(
+            100 + 3 + 2.5 + 3 * 8.5 + 3 / 3.0 + 3 * 50 + 2 * 1000)
+        assert rep.fidelity == pytest.approx(
+            0.998 * 0.995**3 * 0.998**3 * 0.90**2, rel=1e-12)
+        with pytest.raises(KeyError, match="cz"):
+            bg.timing_fidelity_budget(prog, bg.single_donor_table())
+
+    def test_execute_has_one_branch_per_tag(self):
+        branches = re.findall(r'ins\.op == "(\w+)"',
+                              inspect.getsource(pr.execute))
+        assert sorted(branches) == sorted(pr.OPS)
+
+    @settings(max_examples=200, deadline=None)
+    @given(valid_programs())
+    def test_program_json_round_trip_is_exact(self, prog):
+        text = prog.to_json()
+        back = pr.Program.from_json(text)
+        assert back == prog
+        assert back.to_json() == text
+
+    @pytest.mark.parametrize("kw", [
+        {"emitter": 0},                                    # missing a, b
+        {"emitter": 0, "a": 0, "b": 1, "photon": 0},       # foreign field
+        {"emitter": 0, "a": 0, "b": 1.0},                  # wrong type
+        {"emitter": False, "a": 0, "b": 1},                # bool is no index
+    ])
+    def test_instruction_fields_checked(self, kw):
+        with pytest.raises(ValueError):
+            pr.Instruction("permute", **kw)
+
+    @pytest.mark.parametrize("ins", [
+        pr.permute(0, 0, 2), pr.edsr(0, 2), pr.fourier(0, (0, 2)),
+        pr.cz(0, 2), pr.measure_donor(2), pr.idle(-1),
+    ])
+    def test_index_fields_bounded_by_header(self, ins):
+        with pytest.raises(ValueError, match="out of range"):
+            pr.Program(2, 2, 0, (ins,))
 
 
 class TestExecution:

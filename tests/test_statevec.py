@@ -12,6 +12,15 @@ def uniform(d):
     return np.full(d, 1 / np.sqrt(d), dtype=complex)
 
 
+def edsr_then_emit(reg, photon, bin):
+    """Flip the electron on donor level 0, then let the cavity take the
+    excitation into ``bin``: the pair ``protocols.execute`` runs for an
+    ``edsr`` instruction followed by an ``emit``.  Subsystem 0 is the donor
+    and 1 the electron."""
+    return sv.apply_emission(sv.apply_conditional_flip(reg, (0, 0), 1),
+                             photon, bin)
+
+
 def gate_matrix(apply_fn, radices, subsystem):
     """Materialize a single-subsystem gate by acting on every basis state."""
     dim = int(np.prod(radices))
@@ -131,7 +140,7 @@ class TestPermutation:
                                labels=(sv.ROLE_DONOR, sv.ROLE_ELECTRON))
         reg = sv.apply_fourier(reg, 0)
         reg, ph = sv.add_photon(reg, 2)
-        reg = sv.emit_photon_cycle(reg, 0, 0, ph, 0)
+        reg = edsr_then_emit(reg, ph, 0)
         reg = sv.apply_permutation(reg, 0, 0, 1)
         # level 0 now carries the not-yet-emitted branch (photon in vacuum)
         assert abs(reg.amps[0, 0, 2]) == pytest.approx(1 / np.sqrt(2))
@@ -184,7 +193,7 @@ class TestEmission:
 
     def test_first_cycle_populates_only_top_branch(self):
         reg, ph = sv.add_photon(self.psi1, 3)
-        reg = sv.emit_photon_cycle(reg, 0, 0, ph, 0)
+        reg = edsr_then_emit(reg, ph, 0)
         vac = sv.photon_vacuum_level(reg, ph)
         assert abs(reg.amps[0, 0, 0]) == pytest.approx(1 / np.sqrt(3))
         assert abs(reg.amps[1, 0, vac]) == pytest.approx(1 / np.sqrt(3))
@@ -194,17 +203,17 @@ class TestEmission:
         reg = sv.init_register([3, 2], (1, 0),
                                labels=(sv.ROLE_DONOR, sv.ROLE_ELECTRON))
         reg, ph = sv.add_photon(reg, 3)
-        out = sv.emit_photon_cycle(reg, 0, 0, ph, 0)
+        out = edsr_then_emit(reg, ph, 0)
         assert np.allclose(out.amps, reg.amps)
 
     def test_full_inner_loop_correlates_bins_with_levels(self):
         # three cycles with interleaved permutations: one photon across
         # bins t1..t3, each bin paired with the branch that emitted it
         reg, ph = sv.add_photon(self.psi1, 3)
-        reg = sv.emit_photon_cycle(reg, 0, 0, ph, 0)
+        reg = edsr_then_emit(reg, ph, 0)
         for b in (1, 2):
             reg = sv.apply_permutation(reg, 0, 0, b)
-            reg = sv.emit_photon_cycle(reg, 0, 0, ph, b)
+            reg = edsr_then_emit(reg, ph, b)
         reg = sv.finalize_photon(reg, ph)
         # the permutation ladder leaves the branch of bin k on level k+1 mod 3
         for k in range(3):
@@ -214,23 +223,21 @@ class TestEmission:
 
     def test_double_emission_same_branch_rejected(self):
         reg, ph = sv.add_photon(self.psi1, 3)
-        reg = sv.emit_photon_cycle(reg, 0, 0, ph, 0)
+        reg = edsr_then_emit(reg, ph, 0)
         with pytest.raises(ValueError, match="already populated"):
-            sv.emit_photon_cycle(reg, 0, 0, ph, 1)
+            edsr_then_emit(reg, ph, 1)
 
     def test_emission_commutes_with_spectator_branch_gates(self):
         # a permutation confined to the non-emitting levels commutes with
         # the emission cycle
         reg, ph = sv.add_photon(self.psi1, 3)
-        a = sv.emit_photon_cycle(sv.apply_permutation(reg, 0, 1, 2), 0, 0,
-                                 ph, 0)
-        b = sv.apply_permutation(sv.emit_photon_cycle(reg, 0, 0, ph, 0),
-                                 0, 1, 2)
+        a = edsr_then_emit(sv.apply_permutation(reg, 0, 1, 2), ph, 0)
+        b = sv.apply_permutation(edsr_then_emit(reg, ph, 0), 0, 1, 2)
         assert np.allclose(a.amps, b.amps, atol=1e-12)
 
     def test_finalize_requires_empty_vacuum(self):
         reg, ph = sv.add_photon(self.psi1, 3)
-        reg = sv.emit_photon_cycle(reg, 0, 0, ph, 0)
+        reg = edsr_then_emit(reg, ph, 0)
         with pytest.raises(ValueError, match="vacuum"):
             sv.finalize_photon(reg, ph)
 
@@ -328,10 +335,10 @@ class TestMeasurement:
                                labels=(sv.ROLE_DONOR, sv.ROLE_ELECTRON))
         reg = sv.apply_fourier(reg, 0)
         reg, ph = sv.add_photon(reg, 3)
-        reg = sv.emit_photon_cycle(reg, 0, 0, ph, 0)
+        reg = edsr_then_emit(reg, ph, 0)
         for b in (1, 2):
             reg = sv.apply_permutation(reg, 0, 0, b)
-            reg = sv.emit_photon_cycle(reg, 0, 0, ph, b)
+            reg = edsr_then_emit(reg, ph, b)
         reg = sv.finalize_photon(reg, ph)
         return sv.apply_fourier(reg, 0)
 
