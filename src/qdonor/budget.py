@@ -98,6 +98,10 @@ def emission_time(g_s_mhz: float) -> EmissionTime:
 # -- operation tables -------------------------------------------------------
 
 
+def _is_number(x):
+    return isinstance(x, (int, float))
+
+
 @dataclass(frozen=True)
 class OperationRow:
     fidelity: float | None            # None = not yet benchmarked
@@ -145,20 +149,38 @@ class OperationTable:
 
     @classmethod
     def from_dict(cls, obj):
+        if not (isinstance(obj, dict)
+                and isinstance(obj.get("operations"), dict)):
+            raise ValueError("an operation table is an object with an "
+                             "'operations' object")
         rows = {}
         for k, r in obj["operations"].items():
+            if not isinstance(r, dict):
+                raise ValueError(f"row {k!r} must be an object, got {r!r}")
             dur = r["duration_us"]
-            if isinstance(dur, (int, float)):
-                dur = (float(dur), float(dur))
-            else:
-                dur = tuple(float(x) for x in dur)
-                if len(dur) == 1:
-                    dur = (dur[0], dur[0])
-            rows[k] = OperationRow(r.get("fidelity"), dur)
+            if _is_number(dur):
+                dur = [dur]
+            if not (isinstance(dur, (list, tuple)) and len(dur) in (1, 2)
+                    and all(_is_number(x) for x in dur)):
+                raise ValueError(f"row {k!r}: duration_us must be a number "
+                                 f"or a list of one or two, got {dur!r}")
+            fid = r.get("fidelity")
+            if not (fid is None or _is_number(fid)):
+                raise ValueError(f"row {k!r}: fidelity must be a number or "
+                                 f"null, got {fid!r}")
+            rows[k] = OperationRow(fid, (float(dur[0]), float(dur[-1])))
+        coherence = obj.get("coherence_us", {})
+        notes = obj.get("notes", [])
+        if not (isinstance(coherence, dict) and all(
+                v is None or _is_number(v) for v in coherence.values())):
+            raise ValueError("coherence_us must map names to numbers or "
+                             f"null, got {coherence!r}")
+        if not isinstance(notes, list):
+            raise ValueError(f"notes must be a list, got {notes!r}")
         return cls(obj.get("name", "custom"), rows,
                    {k: (None if v is None else float(v))
-                    for k, v in obj.get("coherence_us", {}).items()},
-                   tuple(obj.get("notes", ())))
+                    for k, v in coherence.items()},
+                   tuple(notes))
 
     @classmethod
     def from_json(cls, s):

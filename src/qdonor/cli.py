@@ -227,7 +227,7 @@ def _load_table(spec_str):
 
 def _load_program(path):
     obj = json.loads(Path(path).read_text())
-    if "program" in obj:   # trace file
+    if isinstance(obj, dict) and "program" in obj:   # trace file
         obj = obj["program"]
     return pr.Program.from_dict(obj)
 

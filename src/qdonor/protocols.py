@@ -32,21 +32,24 @@ class Op:
     ``fields`` maps each field to int, float or tuple (of level ints), and
     ``optional`` names the ones that may be left out.  ``row`` is the
     operation-table row charged per step, None where the charge is a
-    duration.
+    duration.  ``distinct`` names fields whose values, tuple entries
+    included, must all differ, as execution requires.
     """
 
     fields: dict
     row: str | None
     optional: tuple = ()
+    distinct: tuple = ()
 
 
 OPS = {
-    "fourier": Op({"emitter": int, "levels": tuple}, "fourier", ("levels",)),
+    "fourier": Op({"emitter": int, "levels": tuple}, "fourier", ("levels",),
+                  ("levels",)),
     "permute": Op({"emitter": int, "a": int, "b": int}, "nmr"),
     "edsr": Op({"emitter": int, "control_level": int}, "edsr"),
     "emit": Op({"emitter": int, "photon": int, "bin": int}, None),
     "cz": Op({"emitter": int, "other": int, "weight": int}, "cz",
-             ("weight",)),
+             ("weight",), ("emitter", "other")),
     "measure": Op({"emitter": int}, "measure"),
     "idle": Op({"emitter": int, "duration": float}, None, ("duration",)),
 }
@@ -94,6 +97,17 @@ class Instruction:
                     f"{self.op} instruction cannot have {f.name}={val!r}")
         if self.duration is not None and self.duration < 0:
             raise ValueError(f"negative idle duration {self.duration}")
+        if self.levels is not None and len(self.levels) < 2:
+            raise ValueError("a level subset needs at least two levels, "
+                             f"got {list(self.levels)}")
+        vals = []
+        for name in spec.distinct:
+            val = getattr(self, name)
+            if val is not None:
+                vals += val if isinstance(val, tuple) else [val]
+        if len(set(vals)) != len(vals):
+            raise ValueError(f"{self.op} instruction repeats a value among "
+                             f"{', '.join(spec.distinct)}: {vals}")
 
     def to_dict(self):
         out = {}
@@ -158,6 +172,10 @@ class Program:
         self.validate()
 
     def validate(self):
+        for name in ("d", "n_emitters", "n_photons"):
+            if not _has_type(getattr(self, name), int):
+                raise ValueError(f"program {name} must be an integer, got "
+                                 f"{getattr(self, name)!r}")
         seen_measure = set()
         bins_seen = {}
         for ins in self.instructions:
@@ -205,8 +223,13 @@ class Program:
 
     @classmethod
     def from_dict(cls, obj):
-        return cls(int(obj["d"]), int(obj["n_emitters"]),
-                   int(obj["n_photons"]),
+        if not isinstance(obj, dict):
+            raise ValueError("program must be an object, got a "
+                             f"{type(obj).__name__}")
+        if not isinstance(obj["instructions"], list):
+            raise ValueError("program instructions must be a list, got "
+                             f"{obj['instructions']!r}")
+        return cls(obj["d"], obj["n_emitters"], obj["n_photons"],
                    tuple(Instruction.from_dict(i)
                          for i in obj["instructions"]))
 

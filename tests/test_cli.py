@@ -16,6 +16,12 @@ def read_json(path):
     return json.loads(Path(path).read_text())
 
 
+def program(instructions, n_emitters=2, **header):
+    """A d=2 program object with no photons; ``header`` overrides entries."""
+    return {"d": 2, "n_emitters": n_emitters, "n_photons": 0,
+            "instructions": instructions, **header}
+
+
 class TestSpectrumCommand:
     def test_double_defaults_esr_64_rows(self, tmp_path):
         out = tmp_path / "o"
@@ -159,32 +165,57 @@ class TestBudgetCommand:
         assert run("budget", "--program", str(f), "--table", "single",
                    "--output", str(tmp_path)) == 2
 
-    @pytest.mark.parametrize("n_emitters,instructions", [
-        pytest.param(2, [{"op": "permute", "emitter": 0}], id="no-a-b"),
-        pytest.param(2, [{"op": "emit", "emitter": 0}], id="no-photon-bin"),
-        pytest.param(2, [{"op": "fourier", "emitter": 0, "colour": 1}],
-                     id="unknown-key"),
-        pytest.param(2, [{"op": "fourier", "emitter": "0"}],
+    @pytest.mark.parametrize("prog,table", [
+        pytest.param(program([{"op": "permute", "emitter": 0}]), "sb2",
+                     id="no-a-b"),
+        pytest.param(program([{"op": "emit", "emitter": 0}]), "sb2",
+                     id="no-photon-bin"),
+        pytest.param(program([{"op": "fourier", "emitter": 0, "colour": 1}]),
+                     "sb2", id="unknown-key"),
+        pytest.param(program([{"op": "fourier", "emitter": "0"}]), "sb2",
                      id="string-emitter"),
-        pytest.param(2, [{"op": "permute", "emitter": 0, "a": 0, "b": 40}],
-                     id="level-40"),
-        pytest.param(2, [{"op": "cz", "emitter": 0, "other": 7,
-                          "weight": 1}], id="emitter-7"),
-        pytest.param(2, [{"op": "permute", "emitter": 0, "a": 0, "b": 40},
-                         {"op": "cz", "emitter": 0, "other": 7,
-                          "weight": 1}], id="level-40-and-emitter-7"),
-        pytest.param(1, [{"op": "idle", "emitter": 0, "duration": -5.0}],
-                     id="negative-idle"),
-        pytest.param(1, [{"emitter": 0}], id="no-op"),
-        pytest.param(1, [7], id="not-an-object"),
+        pytest.param(program([{"op": "permute", "emitter": 0, "a": 0,
+                               "b": 40}]), "sb2", id="level-40"),
+        pytest.param(program([{"op": "cz", "emitter": 0, "other": 7,
+                               "weight": 1}]), "sb2", id="emitter-7"),
+        pytest.param(program([{"op": "permute", "emitter": 0, "a": 0,
+                               "b": 40},
+                              {"op": "cz", "emitter": 0, "other": 7,
+                               "weight": 1}]), "sb2",
+                     id="level-40-and-emitter-7"),
+        pytest.param(program([{"op": "idle", "emitter": 0, "duration": -5.0}],
+                             n_emitters=1), "sb2", id="negative-idle"),
+        pytest.param(program([{"emitter": 0}], n_emitters=1), "sb2",
+                     id="no-op"),
+        pytest.param(program([7], n_emitters=1), "sb2", id="not-an-object"),
+        pytest.param(program([{"op": "fourier", "emitter": 0,
+                               "levels": [1, 1]}]), "sb2",
+                     id="repeated-levels"),
+        pytest.param(program([{"op": "fourier", "emitter": 0,
+                               "levels": [1]}]), "sb2", id="one-level"),
+        pytest.param(program([{"op": "cz", "emitter": 0, "other": 0}]), "sb2",
+                     id="cz-with-itself"),
+        pytest.param(program([], d=None), "sb2", id="null-d"),
+        pytest.param(program(5), "sb2", id="instructions-not-a-list"),
+        pytest.param([program([])], "sb2", id="top-level-list"),
+        pytest.param(program([{"op": "fourier", "emitter": 0}]),
+                     {"operations": {"fourier": {"fidelity": 0.99,
+                                                 "duration_us": None}}},
+                     id="null-duration-row"),
+        pytest.param(program([{"op": "fourier", "emitter": 0}]),
+                     {"operations": {"fourier": {"fidelity": "0.99",
+                                                 "duration_us": 100}}},
+                     id="string-fidelity-row"),
+        pytest.param(program([]), {"operations": []},
+                     id="operations-not-an-object"),
     ])
-    def test_malformed_program_exits_2(self, tmp_path, capsys, n_emitters,
-                                       instructions):
-        prog = {"d": 2, "n_emitters": n_emitters, "n_photons": 0,
-                "instructions": instructions}
+    def test_malformed_program_exits_2(self, tmp_path, capsys, prog, table):
         f = tmp_path / "prog.json"
         f.write_text(json.dumps(prog))
-        assert run("budget", "--program", str(f), "--table", "sb2",
+        if isinstance(table, dict):
+            (tmp_path / "table.json").write_text(json.dumps(table))
+            table = str(tmp_path / "table.json")
+        assert run("budget", "--program", str(f), "--table", table,
                    "--output", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1

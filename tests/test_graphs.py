@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdonor import graphs as gm
 from qdonor import statevec as sv
@@ -20,6 +22,66 @@ def brute_force_correction(reg, g, max_power=None):
         if gm.stabilizer_verify(gm.apply_correction(reg, corr), g).passed:
             return corr
     return None
+
+
+def reference_correction_search(reg, g, atol=gm.STABILIZER_ATOL):
+    """Depth-2 search without neighbourhood screening: every Fourier-power
+    vector, sparse-first then lexicographic, is dressed and phase-fixed."""
+    corr = gm._phase_fix(reg, g, atol)
+    if corr is not None:
+        return corr
+    zeros = (0,) * g.n
+    fvecs = sorted(itertools.product(range(4), repeat=g.n),
+                   key=lambda v: (sum(1 for x in v if x), v))
+    for fvec in fvecs:
+        if not any(fvec):
+            continue  # depth-1 case already tried
+        trial = gm.apply_correction(reg, gm.CorrectionSet(zeros, zeros, fvec))
+        corr = gm._phase_fix(trial, g, atol)
+        if corr is not None:
+            return gm.CorrectionSet(corr.x_powers, corr.z_powers, fvec)
+    return None
+
+
+@st.composite
+def dressed_states(draw):
+    """(state, target graph, recoverable) at d=2..4 and n=3..5 (n <= 4 when
+    unrecoverable: the unscreened reference then tries all 4^n - 1 vectors).
+
+    A recoverable state is the target's graph state dressed by X^a Z^b and
+    then F^f on up to two vertices (so the unscreened reference succeeds
+    within its first 106 vectors); undoing the F powers leaves a Pauli
+    byproduct, so the depth-2 search must find a correction.  An
+    unrecoverable one takes a random weighted tree as target and leaves one
+    CZ out before dressing: every tree edge is a bridge, so the state is a
+    product across a cut where the target has Schmidt rank d / gcd(w, d) > 1,
+    and no local correction exists.
+    """
+    d = draw(st.integers(2, 4))
+    recoverable = draw(st.integers(0, 3)) < 3   # one case in four is not
+    n = draw(st.integers(3, 5 if recoverable else 4))
+    m = np.zeros((n, n), dtype=int)
+    if recoverable:
+        for i, j in itertools.combinations(range(n), 2):
+            m[i, j] = m[j, i] = draw(st.integers(0, d - 1))
+        built = gm.GraphSpec.from_matrix(d, m)
+    else:
+        for v in range(1, n):
+            u = draw(st.integers(0, v - 1))
+            m[u, v] = m[v, u] = draw(st.integers(1, d - 1))
+        cut = m.copy()
+        v = draw(st.integers(1, n - 1))
+        cut[v, :v] = cut[:v, v] = 0   # drop the edge to v's parent
+        built = gm.GraphSpec.from_matrix(d, cut)
+    powers = st.lists(st.integers(0, d - 1), min_size=n, max_size=n)
+    xs, zs = tuple(draw(powers)), tuple(draw(powers))
+    dressed = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    fs = tuple(draw(st.integers(1, 3)) if v in dressed else 0
+               for v in range(n))
+    reg = gm.apply_correction(gm.build_graph_state(built),
+                              gm.CorrectionSet(xs, zs))
+    reg = gm.apply_correction(reg, gm.CorrectionSet((0,) * n, (0,) * n, fs))
+    return reg, gm.GraphSpec.from_matrix(d, m), recoverable
 
 
 class TestGenerators:
@@ -199,6 +261,17 @@ class TestCorrectionSearch:
         assert corr is not None
         assert gm.stabilizer_verify(gm.apply_correction(dirty, corr),
                                     g).passed
+
+    @settings(max_examples=25, deadline=None)
+    @given(dressed_states())
+    def test_matches_unscreened_search(self, case):
+        reg, g, recoverable = case
+        corr = gm.local_correction_search(reg, g, 2)
+        assert corr == reference_correction_search(reg, g)
+        assert (corr is not None) == recoverable
+        if corr is not None:
+            assert gm.stabilizer_verify(gm.apply_correction(reg, corr),
+                                        g).passed
 
     def test_not_found_is_a_value(self):
         # a non-graph state: |000>

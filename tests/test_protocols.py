@@ -106,17 +106,23 @@ def valid_programs(draw):
     n_photons = draw(st.integers(0, 3))
     emitter = st.integers(0, n_emitters - 1)
     level = st.integers(0, d - 1)
-    others = draw(st.lists(st.one_of(
+    kinds = [
         st.builds(pr.fourier, emitter, st.none() | st.lists(
             level, min_size=2, max_size=d, unique=True)),
         st.builds(pr.permute, emitter, level, level),
         st.builds(pr.edsr, emitter, level),
-        st.builds(pr.cz, emitter, emitter, st.integers(-2 * d, 2 * d)),
-        st.builds(pr.Instruction, st.just("cz"), emitter=emitter,
-                  other=emitter),
         st.builds(pr.idle, emitter, st.floats(0, 1e6)),
         st.builds(pr.Instruction, st.just("idle"), emitter=emitter),
-    ), max_size=12))
+    ]
+    if n_emitters == 2:   # a CZ joins two distinct emitters
+        pair = st.permutations([0, 1])
+        kinds += [
+            st.builds(lambda p, w: pr.cz(*p, weight=w), pair,
+                      st.integers(-2 * d, 2 * d)),
+            pair.map(lambda p: pr.Instruction("cz", emitter=p[0],
+                                              other=p[1])),
+        ]
+    others = draw(st.lists(st.one_of(kinds), max_size=12))
     emits = [pr.emit(draw(emitter), p, b)
              for p in range(n_photons) for b in range(d)]
     picks = draw(st.permutations([0] * len(others) + [1] * len(emits)))
@@ -300,15 +306,20 @@ class TestTwoEmitterProtocols:
         rep = pr.verify_against_target(trace, graph, order)
         assert rep.passed
 
-    def test_ladder_literal_step_order_fails(self):
-        # published table order; verification arbitrates.  One branch at
-        # full search depth settles it (no local correction recovers the
-        # missing middle rung).
-        trace = pr.execute(pr.compile_ladder(2, "literal"),
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_ladder_literal_step_order_fails(self, d):
+        # published table order; verification arbitrates.  No branch
+        # passes at full search depth: no local correction recovers the
+        # missing middle rung.
+        trace = pr.execute(pr.compile_ladder(d, "literal"),
                            enumerate_all=True)
-        graph, order = pr.target_graph("ladder", 2)
-        reg = sv.reorder_subsystems(trace.branches[0].photons, order)
-        assert gm.local_correction_search(reg, graph, 2) is None
+        graph, order = pr.target_graph("ladder", d)
+        rep = pr.verify_against_target(trace, graph, order, depth=2)
+        assert len(rep.branches) == d * d
+        assert not rep.passed
+        for br in rep.branches:
+            assert not br.passed
+            assert br.correction is None
 
     def test_ladder_d3_against_ladder_target(self):
         trace = pr.execute(pr.compile_ladder(3), enumerate_all=True)
