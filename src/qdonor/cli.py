@@ -126,12 +126,13 @@ def _trace_dict(trace, seed, enumerated):
 
 
 def cmd_protocol(args):
+    if args.cap is not None and args.cap < 1:
+        raise ValueError(f"amplitude cap must be at least 1, got {args.cap}")
     out = _out_dir(args)
     program = _compile(args)
     enumerated = args.enumerate or args.mode == "verify"
-    cap = args.cap or sv.DEFAULT_AMPLITUDE_CAP
     trace = pr.execute(program, seed=args.seed, enumerate_all=enumerated,
-                       cap=cap)
+                       cap=args.cap or sv.DEFAULT_AMPLITUDE_CAP)
     _write_json(out / "trace.json", _trace_dict(trace, args.seed, enumerated))
     if args.mode == "run":
         print(f"{args.protocol} d={args.d}: executed "
@@ -257,7 +258,8 @@ def _parse_sweep(expr):
 def cmd_budget(args):
     out = _out_dir(args)
     table = _load_table(args.table)
-    cavity = bg.CavityParams(q_i=args.qi) if args.qi else bg.CavityParams()
+    cavity = (bg.CavityParams() if args.qi is None
+              else bg.CavityParams(q_i=args.qi))
     result = {"loss": bg.loss_success(cavity).to_dict(),
               "cavity": cavity.to_dict(),
               "emission_time_us": bg.emission_time(cavity.g_s_mhz).raw_us,

@@ -84,6 +84,8 @@ def expected_attempts(p):
 
 def sample_attempts(p, trials, master_seed):
     """Seeded geometric sampling; used to cross-check the closed form."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
     stats = AttemptStats(p)
     rng = np.random.default_rng(master_seed)
     draws = rng.geometric(p, size=int(trials))
@@ -136,25 +138,7 @@ def project_pair(reg, i, j, a, b, atol=1e-14):
     prob = float(np.sum(np.abs(amps) ** 2))
     if prob <= atol:
         raise ValueError(f"zero-probability projection onto Bell ({a},{b})")
-    radices = tuple(r for ax, r in enumerate(reg.radices) if ax not in (i, j))
-    labels = tuple(l for ax, l in enumerate(reg.labels) if ax not in (i, j))
-    out = sv.Register(radices, amps / math.sqrt(prob), labels, reg.cap)
-    return prob, out
-
-
-def enumerate_fusion_outcomes(reg, i, j):
-    """All d^2 Bell outcomes with probabilities and collapsed registers."""
-    d = reg.radices[i]
-    out = []
-    for a in range(d):
-        for b in range(d):
-            try:
-                prob, collapsed = project_pair(reg, i, j, a, b)
-            except ValueError:
-                out.append((a, b, 0.0, None))
-                continue
-            out.append((a, b, prob, collapsed))
-    return out
+    return prob, sv._without_axes(reg, amps / math.sqrt(prob), (i, j))
 
 
 def fused_chain_graph(n, d):

@@ -436,40 +436,40 @@ def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
         checksums.append(_checksum(reg))
     final = reg
 
-    if enumerate_all:
-        branches = []
-        stack = [((), 1.0, final)]
-        for emitter in measures:
-            nxt = []
-            for outcomes, prob, state in stack:
-                for level, p, collapsed in sv.enumerate_outcomes(state, emitter):
-                    if collapsed is None:
-                        continue
-                    nxt.append((outcomes + (level,), prob * p, collapsed))
-            stack = nxt
-        for outcomes, prob, state in stack:
-            branches.append(OutcomeBranch(outcomes, prob,
-                                          _extract_photons(state, ne)))
-        return ExecutionTrace(program, tuple(checksums), final,
-                              branches=tuple(branches))
-
+    # Each measurement consumes its donor, so an emitter's axis is its index
+    # less the donors measured before it.  Branches nest in measure order,
+    # levels ascending; sampling keeps one outcome per step.
     rng = np.random.default_rng(seed)
+    branches = [((), 1.0, final)]
     records = []
-    state = final
-    for emitter in measures:
-        rec, state = sv.measure(state, emitter, rng)
-        records.append(rec)
-    photons = _extract_photons(state, ne) if measures else None
+    for k, emitter in enumerate(measures):
+        axis = emitter - sum(m < emitter for m in measures[:k])
+        nxt = []
+        for outcomes, prob, state in branches:
+            if enumerate_all:
+                outs = sv.enumerate_outcomes(state, axis)
+            else:
+                rec, collapsed = sv.measure(state, axis, rng)
+                records.append(dataclasses.replace(rec, subsystem=emitter))
+                outs = [(rec.outcome, rec.probability, collapsed)]
+            nxt += [(outcomes + (level,), prob * p, collapsed)
+                    for level, p, collapsed in outs]
+        branches = nxt
+    left = ne - len(measures)   # donors still held, ahead of the electron
+    if enumerate_all:
+        return ExecutionTrace(program, tuple(checksums), final, branches=tuple(
+            OutcomeBranch(o, p, _extract_photons(s, left))
+            for o, p, s in branches))
+    photons = _extract_photons(branches[0][2], left) if measures else None
     return ExecutionTrace(program, tuple(checksums), final,
                           records=tuple(records), sampled_photons=photons)
 
 
-def _extract_photons(state, n_emitters):
-    """Drop measured donors and the spin-down electron."""
-    out = state
-    for _ in range(n_emitters):
-        out = sv.remove_subsystem(out, 0)
-    return sv.remove_subsystem(out, 0)  # electron
+def _extract_photons(state, n_donors):
+    """Drop the unmeasured donors and the spin-down electron."""
+    for _ in range(n_donors + 1):
+        state = sv.remove_subsystem(state, 0)
+    return state
 
 
 # -- verification ------------------------------------------------------------

@@ -383,19 +383,33 @@ def outcome_probabilities(reg, subsystem):
     return np.real(p)
 
 
+def _without_axes(reg, amps, axes):
+    """Register of ``amps``, shaped like ``reg`` without the given axes."""
+    keep = [ax for ax in range(reg.n_subsystems) if ax not in axes]
+    return Register(tuple(reg.radices[ax] for ax in keep), amps,
+                    tuple(reg.labels[ax] for ax in keep), reg.cap)
+
+
+def _project(reg, subsystem, outcome, p):
+    """The renormalised slice at ``outcome``, without the measured axis."""
+    amps = np.take(reg.amps, outcome, axis=subsystem)
+    amps /= math.sqrt(p)
+    return _without_axes(reg, amps, (subsystem,))
+
+
 def collapse(reg, subsystem, outcome, atol=1e-14):
-    """Project onto one outcome and renormalize; errors on zero probability."""
+    """Project onto one outcome; the measured subsystem is consumed.
+
+    Returns (record, renormalised register without the measured axis);
+    errors on zero probability.
+    """
     probs = outcome_probabilities(reg, subsystem)
     p = float(probs[outcome])
     if p <= atol:
         raise ValueError(
             f"collapse onto zero-probability outcome {outcome} requested")
-    new = np.zeros_like(reg.amps)
-    sel = [slice(None)] * reg.n_subsystems
-    sel[subsystem] = outcome
-    new[tuple(sel)] = reg.amps[tuple(sel)] / math.sqrt(p)
-    rec = MeasurementRecord(subsystem, int(outcome), p)
-    return rec, Register(reg.radices, new, reg.labels, reg.cap)
+    return (MeasurementRecord(subsystem, int(outcome), p),
+            _project(reg, subsystem, outcome, p))
 
 
 def measure(reg, subsystem, rng):
@@ -407,20 +421,11 @@ def measure(reg, subsystem, rng):
 
 
 def enumerate_outcomes(reg, subsystem, atol=1e-14):
-    """Deterministic, exhaustive list of (outcome, probability, collapsed).
-
-    Outcomes with probability below ``atol`` are reported with probability 0
-    and no collapsed register.
-    """
+    """(outcome, probability, collapsed) for every outcome above ``atol``,
+    levels ascending; each collapse consumes the subsystem."""
     probs = outcome_probabilities(reg, subsystem)
-    out = []
-    for level, p in enumerate(probs):
-        if p <= atol:
-            out.append((level, 0.0, None))
-        else:
-            _, collapsed = collapse(reg, subsystem, level)
-            out.append((level, float(p), collapsed))
-    return out
+    return [(level, float(p), _project(reg, subsystem, level, float(p)))
+            for level, p in enumerate(probs) if p > atol]
 
 
 def remove_subsystem(reg, subsystem, atol=NORM_ATOL):
@@ -431,12 +436,8 @@ def remove_subsystem(reg, subsystem, atol=NORM_ATOL):
         raise ValueError(
             f"subsystem {subsystem} is not in a definite level "
             f"(probabilities {probs})")
-    sel = [slice(None)] * reg.n_subsystems
-    sel[subsystem] = level
-    new = reg.amps[tuple(sel)].copy()
-    radices = tuple(r for ax, r in enumerate(reg.radices) if ax != subsystem)
-    labels = tuple(l for ax, l in enumerate(reg.labels) if ax != subsystem)
-    return Register(radices, new, labels, reg.cap)
+    return _without_axes(reg, np.take(reg.amps, level, axis=subsystem),
+                        (subsystem,))
 
 
 def reorder_subsystems(reg, order):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdonor import budget as bg
 from qdonor import protocols as pr
@@ -104,6 +106,25 @@ class TestOperationTables:
         back = bg.OperationTable.from_json(t.to_json())
         assert back.rows == t.rows
         assert back.coherence_us == t.coherence_us
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_json_round_trip_is_exact(self, data):
+        times = st.floats(0, 1e6)
+        names = st.text(max_size=8)
+        rows = {}
+        for key in data.draw(st.lists(names, max_size=5, unique=True)):
+            lo, hi = sorted(data.draw(st.tuples(times, times)))
+            fid = data.draw(st.none() | st.floats(0, 1, exclude_min=True))
+            rows[key] = bg.OperationRow(fid, (lo, hi))
+        table = bg.OperationTable(
+            data.draw(names), rows,
+            data.draw(st.dictionaries(names, st.none() | times, max_size=4)),
+            tuple(data.draw(st.lists(names, max_size=3))))
+        text = table.to_json()
+        back = bg.OperationTable.from_json(text)
+        assert back == table
+        assert back.to_json() == text
 
 
 class TestTimingBudget:

@@ -231,6 +231,22 @@ class TestBudgetCommand:
                    "--output", str(tmp_path)) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(("fusion", "--d", "3", "--trials", "0"), id="fusion-trials-0"),
+    pytest.param(("protocol", "run", "--protocol", "linear", "--cap", "0"),
+                 id="cap-0"),
+    pytest.param(("protocol", "run", "--protocol", "linear", "--cap", "-5"),
+                 id="cap-negative"),
+    pytest.param(("budget", "--qi", "0"), id="qi-0"),
+])
+def test_malformed_numeric_argument_exits_2(tmp_path, capsys, argv):
+    assert run(*argv, "--output", str(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
+
+
 class TestDeterminism:
     def _digest(self, folder):
         out = {}

@@ -131,8 +131,9 @@ class TestBellStates:
 
     def test_outcome_probabilities_sum_to_one(self):
         reg = gm.build_graph_state(gm.make_linear(6, 3))
-        outs = fu.enumerate_fusion_outcomes(reg, 0, 5)
-        assert sum(p for _, _, p, _ in outs) == pytest.approx(1.0, abs=1e-10)
+        probs = [fu.project_pair(reg, 0, 5, a, b)[0]
+                 for a in range(3) for b in range(3)]
+        assert sum(probs) == pytest.approx(1.0, abs=1e-10)
 
 
 class TestCompareSchemes:

@@ -119,6 +119,22 @@ class TestGenerators:
         assert gm.GraphSpec.from_json(g.to_json()) == g
 
 
+class TestSerialization:
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_graph_json_round_trip_is_exact(self, data):
+        n = data.draw(st.integers(1, 6))
+        d = data.draw(st.integers(2, 8))
+        m = np.zeros((n, n), dtype=int)
+        for i, j in itertools.combinations(range(n), 2):
+            m[i, j] = m[j, i] = data.draw(st.integers(0, d - 1))
+        g = gm.GraphSpec.from_matrix(d, m)
+        text = g.to_json()
+        back = gm.GraphSpec.from_json(text)
+        assert back == g
+        assert back.to_json() == text
+
+
 class TestBuildGraphState:
     def test_three_vertex_line_signs(self):
         reg = gm.build_graph_state(gm.make_linear(3, 2))

@@ -1,8 +1,10 @@
 """Protocol compilation, execution, and target verification."""
 
+import functools
 import inspect
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -97,13 +99,10 @@ def one_of_every_tag():
         pr.measure_donor(0), pr.measure_donor(1)))
 
 
-@st.composite
-def valid_programs(draw):
-    """Random programs that pass validation: d=2..8, one or two emitters,
-    every photon emitted through its bins in order, readout last."""
-    d = draw(st.integers(2, 8))
-    n_emitters = draw(st.integers(1, 2))
-    n_photons = draw(st.integers(0, 3))
+@functools.lru_cache(maxsize=None)
+def _steps(d, n_emitters):
+    """Up to twelve valid non-emission, non-readout instructions.  Built
+    once per header, because Hypothesis validates every new strategy."""
     emitter = st.integers(0, n_emitters - 1)
     level = st.integers(0, d - 1)
     kinds = [
@@ -122,13 +121,30 @@ def valid_programs(draw):
             pair.map(lambda p: pr.Instruction("cz", emitter=p[0],
                                               other=p[1])),
         ]
-    others = draw(st.lists(st.one_of(kinds), max_size=12))
-    emits = [pr.emit(draw(emitter), p, b)
-             for p in range(n_photons) for b in range(d)]
-    picks = draw(st.permutations([0] * len(others) + [1] * len(emits)))
-    streams = (iter(others), iter(emits))
-    ins = [next(streams[k]) for k in picks]
-    for e in draw(st.lists(emitter, unique=True)):
+    return st.lists(st.one_of(kinds), max_size=12)
+
+
+@st.composite
+def valid_programs(draw):
+    """Random programs that pass validation: d=2..8, one or two emitters,
+    every photon emitted through its bins in order, readout last."""
+    d = draw(st.integers(2, 8))
+    n_emitters = draw(st.integers(1, 2))
+    n_photons = draw(st.integers(0, 3))
+    others = draw(_steps(d, n_emitters))
+    # bit k of one integer picks the emitter of emission k (one draw)
+    mask = draw(st.integers(0, n_emitters ** (n_photons * d) - 1))
+    emits = [pr.emit(mask >> k & 1, k // d, k % d)
+             for k in range(n_photons * d)]
+    # others[i] follows the first cuts[i] emissions: every interleaving once
+    cuts = sorted(draw(st.lists(st.integers(0, len(emits)),
+                                min_size=len(others), max_size=len(others))))
+    ins, placed = [], 0
+    for cut, step in zip(cuts, others):
+        ins += emits[placed:cut] + [step]
+        placed = cut
+    ins += emits[placed:]
+    for e in draw(st.lists(st.integers(0, n_emitters - 1), unique=True)):
         ins.append(pr.measure_donor(e))
     return pr.Program(d, n_emitters, n_photons, tuple(ins))
 
@@ -212,6 +228,21 @@ class TestExecution:
         assert len(trace.branches) == 4
         assert sum(b.probability for b in trace.branches) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("compiler", [pr.compile_six_ring,
+                                          pr.compile_ladder])
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_enumerated_readout_memory_bound(self, compiler, d):
+        # readout slices the donor axes away: no full-size copy per branch
+        prog = compiler(d)
+        tracemalloc.start()
+        try:
+            trace = pr.execute(prog, enumerate_all=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(trace.branches) == d * d
+        assert peak <= 5 * trace.final_register.amps.nbytes
+
 
 class TestSinglePhoton:
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -246,6 +277,21 @@ class TestLinearProtocol:
         graph, order = pr.target_graph("linear", d, n)
         rep = pr.verify_against_target(trace, graph, order, depth=1)
         assert rep.passed
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_corrected_branches_equal_built_chain(self, d, n):
+        trace = pr.execute(pr.compile_linear(d, n), enumerate_all=True)
+        graph = gm.make_linear(n, d)
+        target = gm.build_graph_state(graph).amps
+        assert len(trace.branches) == d
+        for br in trace.branches:
+            corr = gm.local_correction_search(br.photons, graph, 1)
+            assert corr is not None and not any(corr.fourier_powers)
+            fixed = gm.apply_correction(br.photons, corr).amps
+            phase = np.vdot(target, fixed)
+            assert abs(abs(phase) - 1) < 1e-10
+            assert np.max(np.abs(fixed - phase * target)) < 1e-10
 
     def test_byproducts_found_by_exhaustive_scan_too(self):
         # dual route for the correction search: a raw exhaustive scan over

@@ -1,9 +1,11 @@
 """Mixed-radix engine: gates, emission, measurement, encodings."""
 
-import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdonor import statevec as sv
 
@@ -329,6 +331,22 @@ class TestUnitarity:
             assert abs(reg.norm() - 1.0) < 1e-10
 
 
+def reference_enumerate(reg, subsystem, atol=1e-14):
+    """Outcomes as zero-filled full-size copies that keep the measured axis:
+    the collapse that the slice-and-consume one replaced."""
+    probs = sv.outcome_probabilities(reg, subsystem)
+    out = []
+    for level, p in enumerate(probs):
+        if p > atol:
+            new = np.zeros_like(reg.amps)
+            sel = [slice(None)] * reg.n_subsystems
+            sel[subsystem] = level
+            new[tuple(sel)] = reg.amps[tuple(sel)] / math.sqrt(p)
+            out.append((level, float(p),
+                        sv.Register(reg.radices, new, reg.labels, reg.cap)))
+    return out
+
+
 class TestMeasurement:
     def make_w3(self):
         reg = sv.init_register([3, 2], (0, 0),
@@ -350,7 +368,7 @@ class TestMeasurement:
     def test_collapse_top_outcome_gives_uniform_photon(self):
         reg = self.make_w3()
         _, collapsed = sv.collapse(reg, 0, 0)
-        photon = sv.remove_subsystem(sv.remove_subsystem(collapsed, 0), 0)
+        photon = sv.remove_subsystem(collapsed, 0)
         # outcome 0 needs no phase correction: photon uniform over bins
         assert np.allclose(photon.amps, uniform(3) * photon.amps[0]
                            / abs(photon.amps[0]))
@@ -361,16 +379,20 @@ class TestMeasurement:
         reg = self.make_w3()
         target = sv.Register([3], uniform(3))
         for level, prob, collapsed in sv.enumerate_outcomes(reg, 0):
-            photon = sv.remove_subsystem(sv.remove_subsystem(collapsed, 0), 0)
+            photon = sv.remove_subsystem(collapsed, 0)
             fids = [sv.fidelity(sv.apply_pauli_power(photon, 0, "Z", a),
                                 target) for a in range(3)]
             assert max(fids) == pytest.approx(1.0, abs=1e-10)
 
-    def test_enumerated_collapses_are_orthogonal(self):
+    def test_enumerated_collapses_rebuild_the_state(self):
+        # sum_k sqrt(p_k) |k> (x) branch_k is the measured state again
         reg = self.make_w3()
-        outs = [c for _, p, c in sv.enumerate_outcomes(reg, 0) if p > 0]
-        for a, b in itertools.combinations(outs, 2):
-            assert abs(sv.overlap(a, b)) < 1e-10
+        rebuilt = np.zeros_like(reg.amps)
+        for level, prob, collapsed in sv.enumerate_outcomes(reg, 0):
+            assert collapsed.radices == reg.radices[1:]
+            assert collapsed.labels == reg.labels[1:]
+            rebuilt[level] = math.sqrt(prob) * collapsed.amps
+        assert np.max(np.abs(rebuilt - reg.amps)) < 1e-12
 
     def test_sampling_is_seeded(self):
         reg = self.make_w3()
@@ -382,6 +404,50 @@ class TestMeasurement:
         reg = sv.init_register([3], (1,))
         with pytest.raises(ValueError, match="zero-probability"):
             sv.collapse(reg, 0, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_slice_collapse_matches_zero_filled_copy(self, data):
+        """Nested enumeration on renormalised slices, step by step against
+        the zero-filled full-size collapse of the same amplitudes with the
+        measured axes stripped afterwards: the same outcomes in the same
+        order, conditional probabilities within 4 ulp (only the summation
+        order differs) and amplitudes within 1e-15."""
+        radices = data.draw(st.lists(st.integers(2, 5), min_size=2,
+                                     max_size=4))
+        order = data.draw(st.permutations(range(len(radices))))
+        order = order[:data.draw(st.integers(1, len(radices)))]
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        amps = rng.normal(size=radices) + 1j * rng.normal(size=radices)
+        if data.draw(st.booleans()):     # one impossible outcome to skip
+            np.moveaxis(amps, order[0], 0)[-1] = 0
+        reg = sv.Register(radices, amps / np.linalg.norm(amps))
+
+        branches = [((), 1.0, reg)]
+        for k, sub in enumerate(order):
+            axis = sub - sum(m < sub for m in order[:k])
+            nxt = []
+            for outcomes, prob, state in branches:
+                # the same amplitudes, zero-filled at the measured levels
+                full = np.zeros_like(reg.amps)
+                at = [slice(None)] * len(radices)
+                for m, level in zip(order, outcomes):
+                    at[m] = level
+                full[tuple(at)] = state.amps
+                ref = reference_enumerate(sv.Register(radices, full), sub)
+                got = sv.enumerate_outcomes(state, axis)
+                assert [lv for lv, _, _ in got] == [lv for lv, _, _ in ref]
+                for (level, p, collapsed), (_, p_ref, copy) in zip(got, ref):
+                    assert abs(p - p_ref) <= 4 * math.ulp(p_ref)
+                    for m in sorted(order[:k + 1], reverse=True):
+                        copy = sv.remove_subsystem(copy, m)
+                    assert collapsed.radices == copy.radices
+                    assert collapsed.labels == copy.labels
+                    assert np.max(np.abs(collapsed.amps - copy.amps)) <= 1e-15
+                    nxt.append((outcomes + (level,), prob * p, collapsed))
+            branches = nxt
+        assert math.fsum(p for _, p, _ in branches) == pytest.approx(
+            1, abs=1e-12)
 
 
 class TestBinStrings:
@@ -413,6 +479,25 @@ class TestSerialization:
         assert back.radices == reg.radices
         assert back.labels == reg.labels
         assert np.allclose(back.amps, reg.amps)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_register_json_round_trip_is_exact(self, data):
+        radices = data.draw(st.lists(st.integers(2, 4), min_size=1,
+                                     max_size=3))
+        size = math.prod(radices)
+        parts = st.floats(-2.0, 2.0)
+        amps = [complex(*data.draw(st.tuples(parts, parts)))
+                for _ in range(size)]
+        labels = data.draw(st.lists(
+            st.sampled_from((sv.ROLE_DONOR, sv.ROLE_ELECTRON, sv.ROLE_PHOTON)),
+            min_size=len(radices), max_size=len(radices)))
+        reg = sv.Register(radices, amps, labels)
+        text = reg.to_json()
+        back = sv.Register.from_json(text)
+        assert (back.radices, back.labels) == (reg.radices, reg.labels)
+        assert np.array_equal(back.amps, reg.amps)
+        assert back.to_json() == text
 
     def test_reorder_subsystems(self):
         reg = sv.init_register([2, 3, 4], (1, 2, 3))
