@@ -241,6 +241,8 @@ def _parse_sweep(expr):
                          "expected name=start:stop:scale[:points]")
     start, stop, scale = float(parts[0]), float(parts[1]), parts[2]
     points = int(parts[3]) if len(parts) == 4 else 11
+    if points < 1:
+        raise ValueError(f"a sweep needs at least one point, got {points}")
     if scale == "log10":
         values = np.geomspace(start, stop, points)
     elif scale in ("lin", "linear"):

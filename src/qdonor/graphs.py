@@ -150,7 +150,7 @@ def stabilizer_apply(reg, g, v):
     out = sv.apply_pauli_power(reg, v, "X", 1)
     for w in range(g.n):
         if m[v, w]:
-            out = sv.apply_pauli_power(out, w, "Z", int(m[v, w]))
+            out.amps *= sv._z_phases(out, w, int(m[v, w]))
     return out
 
 

@@ -386,9 +386,13 @@ class ExecutionTrace:
 
 
 def _checksum(reg):
+    """SHA-256 of the int64 radices and the amplitudes rounded to 12
+    decimals, in C order.  Rounding the float64 view rounds the real and
+    imaginary parts exactly as rounding the complex array does."""
     h = hashlib.sha256()
     h.update(np.asarray(reg.radices, dtype=np.int64).tobytes())
-    h.update(np.round(reg.amps, 12).tobytes())
+    flat = np.ascontiguousarray(reg.amps).reshape(-1).view(np.float64)
+    h.update(np.round(flat, 12))
     return h.hexdigest()
 
 
@@ -396,7 +400,9 @@ def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
     """Run a program; donor readout either samples (seeded) or enumerates.
 
     Measurement instructions must come last (the Program invariant), so the
-    unitary prefix runs once and the readout branches share it.
+    unitary prefix runs once and the readout branches share it.  The
+    register is execute's own: permutations, flips, emissions and CZ update
+    it in place, with the kernels behind the public ``statevec`` gates.
     """
     d, ne = program.d, program.n_emitters
     reg = sv.init_register(
@@ -407,33 +413,40 @@ def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
     checksums = []
     measures = []
     for ins in program.instructions:
+        if (ins.op in ("permute", "edsr", "emit")
+                and not reg.amps.flags.c_contiguous):
+            # the public gates return C-ordered copies, and the readout sums
+            # in memory order: keep their layout so probabilities match
+            reg = reg.copy()
         if ins.op == "fourier":
             subset = (ins.emitter if ins.levels is None
                       else sv.LevelSubset(ins.emitter, ins.levels))
             reg = sv.apply_fourier(reg, subset)
         elif ins.op == "permute":
-            reg = sv.apply_permutation(reg, ins.emitter, ins.a, ins.b)
+            sv._permute_levels(reg.amps, ins.emitter, ins.a, ins.b)
         elif ins.op == "edsr":
-            reg = sv.apply_conditional_flip(
-                reg, (ins.emitter, ins.control_level), electron)
+            sv._flip_on_level(reg.amps, (ins.emitter, ins.control_level),
+                              electron)
         elif ins.op == "emit":
             if ins.photon not in photon_axis:
                 reg, axis = sv.add_photon(reg, d)
                 photon_axis[ins.photon] = axis
-            reg = sv.apply_emission(reg, photon_axis[ins.photon], ins.bin,
-                                    electron)
+            sv._emit_into(reg.amps, photon_axis[ins.photon], ins.bin,
+                          electron)
             if ins.bin == d - 1:
                 reg = sv.finalize_photon(reg, photon_axis[ins.photon])
         elif ins.op == "cz":
-            reg = sv.apply_cz_power(reg, ins.emitter, ins.other, ins.weight)
+            sv._cz_phase(reg.amps, ins.emitter, ins.other, ins.weight)
         elif ins.op == "idle":
             pass
         elif ins.op == "measure":
             measures.append(ins.emitter)
-            checksums.append(checksums[-1] if checksums else _checksum(reg))
-            continue
-        reg.check_norm()
-        checksums.append(_checksum(reg))
+        # idle and measure leave the state as it is (readout runs below)
+        if checksums and ins.op in ("idle", "measure"):
+            checksums.append(checksums[-1])
+        else:
+            reg.check_norm()
+            checksums.append(_checksum(reg))
     final = reg
 
     # Each measurement consumes its donor, so an emitter's axis is its index

@@ -19,6 +19,7 @@ Conventions
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -170,10 +171,13 @@ def _apply_matrix(reg, subsystem, matrix):
     return Register(reg.radices, new, reg.labels, reg.cap)
 
 
+@functools.cache
 def fourier_matrix(d):
-    """F_d with entries omega^{jk} / sqrt(d)."""
+    """F_d with entries omega^{jk} / sqrt(d); built once per d, read-only."""
     j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    return np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
+    f = np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
+    f.setflags(write=False)
+    return f
 
 
 def subset_matrix(radix, levels, block):
@@ -217,6 +221,15 @@ def pauli_z_matrix(d, power=1):
         np.complex128)
 
 
+def _z_phases(reg, subsystem, power):
+    """The diagonal of Z^p on one subsystem, shaped to broadcast on reg."""
+    d = reg.radices[subsystem]
+    phases = np.exp(2j * np.pi * (int(power) % d) * np.arange(d) / d)
+    shape = [1] * reg.n_subsystems
+    shape[subsystem] = d
+    return phases.reshape(shape)
+
+
 def apply_pauli_power(reg, subsystem, kind, power):
     """Generalized Pauli X^p or Z^p on one subsystem."""
     d = reg.radices[subsystem]
@@ -227,29 +240,54 @@ def apply_pauli_power(reg, subsystem, kind, power):
         rolled = np.roll(reg.amps, power, axis=subsystem)
         return Register(reg.radices, rolled, reg.labels, reg.cap)
     if kind == "Z":
-        phases = np.exp(2j * np.pi * power * np.arange(d) / d)
-        shape = [1] * reg.n_subsystems
-        shape[subsystem] = d
-        new = reg.amps * phases.reshape(shape)
+        new = reg.amps * _z_phases(reg, subsystem, power)
         return Register(reg.radices, new, reg.labels, reg.cap)
     raise ValueError(f"unknown Pauli kind {kind!r} (expected 'X' or 'Z')")
 
 
-def apply_permutation(reg, subsystem, a, b):
-    """Swap the amplitudes of levels a and b (NMR pi-pulse idealization)."""
-    r = reg.radices[subsystem]
+def _at(ndim, *fixed):
+    """Index fixing the given (axis, level) pairs; every other axis whole."""
+    idx = [slice(None)] * ndim
+    for axis, level in fixed:
+        idx[axis] = level
+    return tuple(idx)
+
+
+def _swap(amps, a, b):
+    """Exchange the disjoint slices ``amps[a]`` and ``amps[b]`` in place."""
+    held = amps[a].copy()
+    amps[a] = amps[b]
+    amps[b] = held
+
+
+def _permute_levels(amps, subsystem, a, b):
+    """In-place kernel of :func:`apply_permutation`."""
+    r = amps.shape[subsystem]
     if not (0 <= a < r and 0 <= b < r):
         raise IndexError(f"levels ({a},{b}) out of range for radix {r}")
-    if a == b:
-        return reg.copy()
-    new = reg.amps.copy()
-    sl_a = [slice(None)] * reg.n_subsystems
-    sl_b = [slice(None)] * reg.n_subsystems
-    sl_a[subsystem] = a
-    sl_b[subsystem] = b
-    new[tuple(sl_a)], new[tuple(sl_b)] = (reg.amps[tuple(sl_b)],
-                                          reg.amps[tuple(sl_a)])
-    return Register(reg.radices, new, reg.labels, reg.cap)
+    if a != b:
+        _swap(amps, _at(amps.ndim, (subsystem, a)),
+              _at(amps.ndim, (subsystem, b)))
+
+
+def apply_permutation(reg, subsystem, a, b):
+    """Swap the amplitudes of levels a and b (NMR pi-pulse idealization)."""
+    new = reg.copy()
+    _permute_levels(new.amps, subsystem, a, b)
+    return new
+
+
+def _flip_on_level(amps, control, target):
+    """In-place kernel of :func:`apply_conditional_flip`."""
+    csub, clevel = control
+    if csub == target:
+        raise ValueError("control subsystem equals target")
+    if amps.shape[target] != 2:
+        raise ValueError("flip target must have radix 2")
+    if not 0 <= clevel < amps.shape[csub]:
+        raise IndexError(f"control level {clevel} out of range")
+    _swap(amps, _at(amps.ndim, (csub, clevel), (target, ELECTRON_DOWN)),
+          _at(amps.ndim, (csub, clevel), (target, ELECTRON_UP)))
 
 
 def apply_conditional_flip(reg, control, target):
@@ -259,23 +297,9 @@ def apply_conditional_flip(reg, control, target):
     This is the ESR/EDSR pulse idealization: the paired nuclear change of a
     physical EDSR pulse is composed from this flip plus a permutation.
     """
-    csub, clevel = control
-    if csub == target:
-        raise ValueError("control subsystem equals target")
-    if reg.radices[target] != 2:
-        raise ValueError("flip target must have radix 2")
-    if not 0 <= clevel < reg.radices[csub]:
-        raise IndexError(f"control level {clevel} out of range")
-    new = reg.amps.copy()
-    sel = [slice(None)] * reg.n_subsystems
-    sel[csub] = clevel
-    sel_dn = list(sel)
-    sel_up = list(sel)
-    sel_dn[target] = ELECTRON_DOWN
-    sel_up[target] = ELECTRON_UP
-    new[tuple(sel_dn)], new[tuple(sel_up)] = (reg.amps[tuple(sel_up)],
-                                              reg.amps[tuple(sel_dn)])
-    return Register(reg.radices, new, reg.labels, reg.cap)
+    new = reg.copy()
+    _flip_on_level(new.amps, control, target)
+    return new
 
 
 # -- photon emission ------------------------------------------------------
@@ -299,6 +323,23 @@ def photon_vacuum_level(reg, photon):
     return reg.radices[photon] - 1
 
 
+def _emit_into(amps, photon, bin, electron, atol=NORM_ATOL):
+    """In-place kernel of :func:`apply_emission`."""
+    vac = amps.shape[photon] - 1
+    if not 0 <= bin < vac:
+        raise IndexError(f"bin {bin} out of range (photon has {vac} bins)")
+    # occupancy check: the emitting branch must hold no earlier photon
+    occupied = amps[_at(amps.ndim, (electron, ELECTRON_UP),
+                        (photon, slice(0, vac)))]
+    if np.linalg.norm(occupied) > atol:
+        raise ValueError(
+            f"photon {photon} already populated on a branch where emission "
+            "triggers")
+    src = _at(amps.ndim, (electron, ELECTRON_UP), (photon, vac))
+    amps[_at(amps.ndim, (electron, ELECTRON_DOWN), (photon, bin))] += amps[src]
+    amps[src] = 0.0
+
+
 def apply_emission(reg, photon, bin, electron=None, atol=NORM_ATOL):
     """Cavity exchange: |up, vac> -> |down, photon in bin>, spin-down idle.
 
@@ -307,43 +348,19 @@ def apply_emission(reg, photon, bin, electron=None, atol=NORM_ATOL):
     """
     if electron is None:
         electron = reg.electron_index()
-    vac = photon_vacuum_level(reg, photon)
-    if not 0 <= bin < vac:
-        raise IndexError(f"bin {bin} out of range (photon has {vac} bins)")
-    sel_up = [slice(None)] * reg.n_subsystems
-    sel_up[electron] = ELECTRON_UP
-    up_branch = reg.amps[tuple(sel_up)]
-    # occupancy check: the emitting branch must hold no earlier photon
-    occupied = np.delete(up_branch, vac, axis=photon if photon < electron
-                         else photon - 1)
-    if np.linalg.norm(occupied) > atol:
-        raise ValueError(
-            f"photon {photon} already populated on a branch where emission "
-            "triggers")
-    new = reg.amps.copy()
-    src = [slice(None)] * reg.n_subsystems
-    src[electron] = ELECTRON_UP
-    src[photon] = vac
-    dst = [slice(None)] * reg.n_subsystems
-    dst[electron] = ELECTRON_DOWN
-    dst[photon] = bin
-    new[tuple(dst)] += reg.amps[tuple(src)]
-    new[tuple(src)] = 0.0
-    return Register(reg.radices, new, reg.labels, reg.cap)
+    new = reg.copy()
+    _emit_into(new.amps, photon, bin, electron, atol)
+    return new
 
 
 def finalize_photon(reg, photon, atol=NORM_ATOL):
     """Contract a photon's vacuum level away once every bin has been visited."""
     vac = photon_vacuum_level(reg, photon)
-    sel = [slice(None)] * reg.n_subsystems
-    sel[photon] = vac
-    leftover = np.linalg.norm(reg.amps[tuple(sel)])
+    leftover = np.linalg.norm(reg.amps[_at(reg.n_subsystems, (photon, vac))])
     if leftover > atol:
         raise ValueError(
             f"photon {photon} still has vacuum amplitude {leftover:.3e}")
-    keep = [slice(None)] * reg.n_subsystems
-    keep[photon] = slice(0, vac)
-    new = reg.amps[tuple(keep)].copy()
+    new = reg.amps[_at(reg.n_subsystems, (photon, slice(0, vac)))].copy()
     radices = list(reg.radices)
     radices[photon] = vac
     return Register(radices, new, reg.labels, reg.cap)
@@ -352,26 +369,33 @@ def finalize_photon(reg, photon, atol=NORM_ATOL):
 # -- two-subsystem gates --------------------------------------------------
 
 
-def apply_cz_power(reg, i, j, weight):
-    """Diagonal gate omega^{w k l} between equal-dimension subsystems."""
+def _cz_phase(amps, i, j, weight):
+    """In-place kernel of :func:`apply_cz_power`."""
     if i == j:
         raise ValueError("CZ needs two distinct subsystems")
-    d = reg.radices[i]
-    if reg.radices[j] != d:
+    d = amps.shape[i]
+    if amps.shape[j] != d:
         raise ValueError(
-            f"CZ dimension mismatch: {reg.radices[i]} vs {reg.radices[j]}")
+            f"CZ dimension mismatch: {amps.shape[i]} vs {amps.shape[j]}")
     weight = int(weight) % d
     if weight == 0:
-        return reg.copy()
+        return
     k = np.arange(d)
     phase = np.exp(2j * np.pi * weight * np.outer(k, k) / d)
     # broadcast the (symmetric) d x d phase table onto axes (i, j)
     a, b = sorted((i, j))
-    view_shape = [1] * reg.n_subsystems
+    view_shape = [1] * amps.ndim
     view_shape[a] = d
     view_shape[b] = d
-    full = phase.reshape(view_shape)
-    return Register(reg.radices, reg.amps * full, reg.labels, reg.cap)
+    amps *= phase.reshape(view_shape)
+
+
+def apply_cz_power(reg, i, j, weight):
+    """Diagonal gate omega^{w k l} between equal-dimension subsystems."""
+    # a copy in the input's memory layout, as the elementwise product gives
+    new = Register(reg.radices, reg.amps.copy(order="K"), reg.labels, reg.cap)
+    _cz_phase(new.amps, i, j, weight)
+    return new
 
 
 # -- measurement ----------------------------------------------------------

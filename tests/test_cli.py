@@ -238,6 +238,10 @@ class TestBudgetCommand:
     pytest.param(("protocol", "run", "--protocol", "linear", "--cap", "-5"),
                  id="cap-negative"),
     pytest.param(("budget", "--qi", "0"), id="qi-0"),
+    pytest.param(("budget", "--sweep", "Qi=1e5:1e6:log10:0"),
+                 id="sweep-0-points"),
+    pytest.param(("budget", "--sweep", "Qi=1e5:1e6:log10:-3"),
+                 id="sweep-negative-points"),
 ])
 def test_malformed_numeric_argument_exits_2(tmp_path, capsys, argv):
     assert run(*argv, "--output", str(tmp_path)) == 2

@@ -1,6 +1,7 @@
 """Protocol compilation, execution, and target verification."""
 
 import functools
+import hashlib
 import inspect
 import json
 import re
@@ -242,6 +243,117 @@ class TestExecution:
             tracemalloc.stop()
         assert len(trace.branches) == d * d
         assert peak <= 5 * trace.final_register.amps.nbytes
+
+
+def reference_execute(program):
+    """The functional executor, kept as the reference for ``pr.execute``:
+    every gate is a public ``statevec`` function that returns a new
+    register, and each digest hashes the bytes of the rounded complex array.
+    Returns (checksums, final register, enumerated branches)."""
+    d, ne = program.d, program.n_emitters
+    reg = sv.init_register(
+        (d,) * ne + (2,), (0,) * ne + (sv.ELECTRON_DOWN,),
+        labels=(sv.ROLE_DONOR,) * ne + (sv.ROLE_ELECTRON,))
+    electron, photon_axis, checksums, measures = ne, {}, [], []
+
+    def checksum(reg):
+        h = hashlib.sha256()
+        h.update(np.asarray(reg.radices, dtype=np.int64).tobytes())
+        h.update(np.round(reg.amps, 12).tobytes())
+        return h.hexdigest()
+
+    for ins in program.instructions:
+        if ins.op == "fourier":
+            reg = sv.apply_fourier(reg, ins.emitter if ins.levels is None
+                                   else sv.LevelSubset(ins.emitter,
+                                                       ins.levels))
+        elif ins.op == "permute":
+            reg = sv.apply_permutation(reg, ins.emitter, ins.a, ins.b)
+        elif ins.op == "edsr":
+            reg = sv.apply_conditional_flip(
+                reg, (ins.emitter, ins.control_level), electron)
+        elif ins.op == "emit":
+            if ins.photon not in photon_axis:
+                reg, photon_axis[ins.photon] = sv.add_photon(reg, d)
+            reg = sv.apply_emission(reg, photon_axis[ins.photon], ins.bin,
+                                    electron)
+            if ins.bin == d - 1:
+                reg = sv.finalize_photon(reg, photon_axis[ins.photon])
+        elif ins.op == "cz":
+            reg = sv.apply_cz_power(reg, ins.emitter, ins.other, ins.weight)
+        elif ins.op == "measure":
+            measures.append(ins.emitter)
+            checksums.append(checksums[-1] if checksums else checksum(reg))
+            continue
+        reg.check_norm()
+        checksums.append(checksum(reg))
+    branches = [((), 1.0, reg)]
+    for k, emitter in enumerate(measures):
+        axis = emitter - sum(m < emitter for m in measures[:k])
+        branches = [(outcomes + (level,), prob * p, collapsed)
+                    for outcomes, prob, state in branches
+                    for level, p, collapsed in sv.enumerate_outcomes(state,
+                                                                     axis)]
+    for _ in range(ne - len(measures) + 1):
+        branches = [(o, p, sv.remove_subsystem(s, 0)) for o, p, s in branches]
+    return tuple(checksums), reg, branches
+
+
+def _run(fn, *args, **kw):
+    """fn's result, or the type and text of the error it raised."""
+    try:
+        return fn(*args, **kw)
+    except (ValueError, IndexError, TypeError) as exc:
+        return type(exc), str(exc)
+
+
+class TestInPlaceExecution:
+    def test_digests_are_pinned(self):
+        # one SHA-256 over every digest of five compilers at d=2..4; the
+        # literal holds the digests of the functional executor
+        joined = "".join(
+            digest for d in (2, 3, 4)
+            for prog in (pr.compile_single_photon(d), pr.compile_linear(d, 3),
+                         pr.compile_six_ring(d), pr.compile_ladder(d),
+                         pr.compile_ladder(d, "literal"))
+            for digest in pr.execute(prog).checksums)
+        assert hashlib.sha256(joined.encode()).hexdigest() == (
+            "dc55449b249ad8a0160bec6ebf158c78c77d54d17c51dfb962a5087fe7f165b7")
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_programs())
+    def test_matches_functional_executor_exactly(self, prog):
+        got = _run(pr.execute, prog, enumerate_all=True)
+        want = _run(reference_execute, prog)
+        if isinstance(want, tuple) and isinstance(want[0], type):
+            assert got == want      # the same error, raised by the same step
+            return
+        self.assert_same_run(got, want)
+
+    @pytest.mark.parametrize("late", [
+        (pr.permute(1, 0, 2),), (pr.edsr(0, 1),), (pr.cz(0, 1), pr.edsr(1, 0)),
+    ], ids=["permute", "edsr", "cz-edsr"])
+    def test_gate_after_the_last_fourier_matches(self, late):
+        # the readout sums in memory order, and a Fourier on emitter 1
+        # leaves a transposed layout that the public gates do not keep
+        prog = pr.compile_six_ring(3)
+        ins = prog.instructions
+        prog = pr.Program(3, 2, 6, ins[:-2] + late + ins[-2:])
+        self.assert_same_run(pr.execute(prog, enumerate_all=True),
+                             reference_execute(prog))
+
+    @staticmethod
+    def assert_same_run(got, want):
+        checksums, final, branches = want
+        assert got.checksums == checksums
+        assert got.final_register.radices == final.radices
+        assert np.array_equal(got.final_register.amps, final.amps)
+        assert len(got.branches) == len(branches)
+        for br, (outcomes, prob, photons) in zip(got.branches, branches):
+            assert br.outcomes == outcomes
+            assert br.probability == prob
+            assert br.photons.radices == photons.radices
+            assert br.photons.amps.tobytes() == photons.amps.tobytes()
 
 
 class TestSinglePhoton:

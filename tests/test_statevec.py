@@ -83,6 +83,14 @@ class TestFourier:
             out = sv.apply_fourier(out, 0)
         assert np.allclose(out.amps, reg.amps, atol=1e-12)
 
+    @pytest.mark.parametrize("d", [2, 3, 5, 8])
+    def test_matrix_is_cached_read_only(self, d):
+        f = sv.fourier_matrix(d)
+        assert sv.fourier_matrix(d) is f
+        assert f.flags.writeable is False
+        j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+        assert np.array_equal(f, np.exp(2j * np.pi * j * k / d) / np.sqrt(d))
+
     def test_subset_acts_inside_larger_space(self):
         reg = sv.init_register([8], (0,))
         out = sv.apply_fourier(reg, sv.LevelSubset(0, (0, 1, 2)))
@@ -279,6 +287,43 @@ class TestCZ:
         reg = sv.init_register([2, 3], (0, 0))
         with pytest.raises(ValueError):
             sv.apply_cz_power(reg, 0, 1, 1)
+
+
+class TestFunctionalGates:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_public_gates_leave_their_input_alone(self, data):
+        """Two donors, the electron and a photon under construction, in C
+        or in a transposed memory layout: every public gate returns a new
+        register and leaves the amplitudes it was given as they were."""
+        d = data.draw(st.integers(2, 5))
+        radices = (d, d, 2, d + 1)
+        perm = data.draw(st.permutations(range(4)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = [radices[ax] for ax in perm]
+        base = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        amps = base.transpose(np.argsort(perm))
+        amps[:, :, sv.ELECTRON_UP, :d] = 0     # the photon can be emitted
+        reg = sv.Register(radices, amps / np.linalg.norm(amps))
+        before = reg.amps.copy()
+        level = st.integers(0, d - 1)
+        donor = st.integers(0, 1)
+        gate = data.draw(st.sampled_from([
+            lambda: sv.apply_fourier(reg, data.draw(donor)),
+            lambda: sv.apply_pauli_power(reg, data.draw(donor),
+                                         data.draw(st.sampled_from("XZ")),
+                                         data.draw(level)),
+            lambda: sv.apply_permutation(reg, data.draw(donor),
+                                         data.draw(level), data.draw(level)),
+            lambda: sv.apply_conditional_flip(
+                reg, (data.draw(donor), data.draw(level)), 2),
+            lambda: sv.apply_emission(reg, 3, data.draw(level), 2),
+            lambda: sv.apply_cz_power(reg, 0, 1, data.draw(level)),
+        ]))
+        out = gate()
+        assert out is not reg
+        assert not np.shares_memory(out.amps, reg.amps)
+        assert np.array_equal(reg.amps, before)
 
 
 class TestUnitarity:
