@@ -176,29 +176,24 @@ class FusionOutcome:
         }
 
 
-def fuse_chain_ends(reg, i=None, j=None, outcome=(0, 0), depth=2, seed=None,
+def fuse_chain_ends(reg, outcome=(0, 0), depth=2, seed=None,
                     atol=gm.STABILIZER_ATOL):
     """Fuse the end photons of a verified linear chain.
 
     The register must hold a canonical n-chain graph state (this is checked;
     byproduct-carrying states should be corrected first).  The chosen Bell
-    outcome is projected out, both fused qudits are removed, and the result
-    is verified against the contracted chain graph after a local-correction
-    search.  With a seed, the attempt count of the non-deterministic physical
-    gate is sampled from the geometric law as bookkeeping.
+    outcome is projected out of the first and last qudits, both are removed,
+    and the result is verified against the contracted chain graph by a
+    local-correction search.  With a seed, the attempt count of the
+    non-deterministic physical gate is sampled from the geometric law as
+    bookkeeping.
     """
     n = reg.n_subsystems
     d = reg.radices[0]
-    if i is None:
-        i = 0
-    if j is None:
-        j = n - 1
-    if {i, j} != {0, n - 1}:
-        raise ValueError("chain-end fusion consumes the first and last qudits")
     chain = gm.make_linear(n, d)
     if not gm.stabilizer_verify(reg, chain, atol).passed:
         raise ValueError("register does not verify against the linear chain")
-    prob, collapsed = project_pair(reg, i, j, outcome[0], outcome[1])
+    prob, collapsed = project_pair(reg, 0, n - 1, outcome[0], outcome[1])
     target = fused_chain_graph(n, d)
     attempts = None
     if seed is not None:
@@ -208,10 +203,9 @@ def fuse_chain_ends(reg, i=None, j=None, outcome=(0, 0), depth=2, seed=None,
     if corr is None:
         return FusionOutcome(False, tuple(outcome), prob, None, None,
                              float("inf"), attempts)
-    fixed = gm.apply_correction(collapsed, corr)
-    rep = gm.stabilizer_verify(fixed, target, atol)
-    return FusionOutcome(rep.passed, tuple(outcome), prob, fixed, corr,
-                         rep.max_deviation, attempts)
+    return FusionOutcome(corr.report.passed, tuple(outcome), prob,
+                         gm.apply_correction(collapsed, corr), corr,
+                         corr.report.max_deviation, attempts)
 
 
 # -- scheme comparison -------------------------------------------------------

@@ -13,7 +13,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -203,13 +203,16 @@ class CorrectionSet:
 
     The correction operator on vertex v is X^{x_v} Z^{z_v} F^{f_v}, applied
     in that right-to-left order (Fourier conjugation first).  Depth-1
-    searches leave every f_v at zero.
+    searches leave every f_v at zero.  A search also attaches the
+    ``report`` of the corrected state it verified; it takes no part in
+    equality and is not serialised.
     """
 
     x_powers: tuple
     z_powers: tuple
     fourier_powers: tuple = None
-    global_phase: complex | None = None
+    report: StabilizerReport | None = field(default=None, compare=False,
+                                            repr=False)
 
     def __post_init__(self):
         if self.fourier_powers is None:
@@ -228,13 +231,9 @@ class CorrectionSet:
                 and not any(self.fourier_powers))
 
     def to_dict(self):
-        out = {"x_powers": list(self.x_powers),
-               "z_powers": list(self.z_powers),
-               "fourier_powers": list(self.fourier_powers)}
-        if self.global_phase is not None:
-            out["global_phase"] = [self.global_phase.real,
-                                   self.global_phase.imag]
-        return out
+        return {"x_powers": list(self.x_powers),
+                "z_powers": list(self.z_powers),
+                "fourier_powers": list(self.fourier_powers)}
 
 
 def apply_correction(reg, corr):
@@ -250,31 +249,6 @@ def apply_correction(reg, corr):
     return out
 
 
-def _phase_fix(reg, g, atol):
-    """Z-only correction derived from stabilizer eigenphases.
-
-    If |psi> lies in the graph basis then <S_v> = omega^{theta_v} with unit
-    modulus; applying Z_v^{theta_v} everywhere returns the canonical |G>.
-    Any X-type byproduct is equivalent to Z's modulo the stabilizer group, so
-    this single pass covers every Pauli byproduct.
-    """
-    d = g.d
-    mus = stabilizer_expectations(reg, g)
-    z = []
-    for mu in mus:
-        if abs(abs(mu) - 1.0) > 1e-6:
-            return None
-        theta = np.angle(mu) * d / (2 * np.pi)
-        k = int(round(theta)) % d
-        if abs(theta - round(theta)) > 1e-6:
-            return None
-        z.append(k)
-    corr = CorrectionSet((0,) * g.n, tuple(z))
-    if stabilizer_verify(apply_correction(reg, corr), g, atol).passed:
-        return corr
-    return None
-
-
 @functools.lru_cache(maxsize=8)
 def _fourier_vectors(n):
     """F-power assignments ordered sparse-first, then lexicographically.
@@ -286,72 +260,72 @@ def _fourier_vectors(n):
                         key=lambda v: (sum(1 for x in v if x), v)))
 
 
-def _neighbourhood_filter(reg, g):
-    """Cheap necessary test for a Fourier-power vector, cached per N[v].
+def _candidates(n, search_depth):
+    """The zero vector, then at depth 2 every other Fourier-power vector.
 
-    S_v acts only on v's closed neighbourhood N[v], so <S_v> of the dressed
-    state depends only on the powers on N[v]: dressing N[v] alone gives the
-    same value.  Each (v, powers on N[v]) is evaluated once, smallest
-    neighbourhoods first: they have the fewest entries to fill.  The 1e-3
-    modulus threshold is looser than ``_phase_fix``'s 1e-6, so a vector
-    rejected here is rejected by the full check too.
+    Lazy: the 4^n vectors are only built once the zero vector has failed.
     """
-    m = g.matrix()
-    hoods = sorted(((v, [w for w in range(g.n) if w == v or m[v, w]])
-                    for v in range(g.n)), key=lambda h: len(h[1]))
-    zeros = (0,) * g.n
-    unit = {}
+    yield (0,) * n
+    if search_depth == 2:
+        yield from itertools.islice(_fourier_vectors(n), 1, None)
 
-    def passes(fvec):
-        for v, hood in hoods:
-            key = (v, tuple(fvec[w] for w in hood))
-            ok = unit.get(key)
-            if ok is None:
-                local = tuple(fvec[w] if w in hood else 0
-                              for w in range(g.n))
-                dressed = apply_correction(
-                    reg, CorrectionSet(zeros, zeros, local))
-                mu = sv.overlap(dressed, stabilizer_apply(dressed, g, v))
-                ok = unit[key] = abs(abs(mu) - 1.0) <= 1e-3
-            if not ok:
-                return False
-        return True
 
-    return passes
+def _z_power(mu, d):
+    """The power k with <S_v> = omega^k, or None unless |<S_v>| = 1 and its
+    phase is a multiple of 2 pi / d (both to 1e-6)."""
+    theta = np.angle(mu) * d / (2 * np.pi)
+    if abs(abs(mu) - 1.0) > 1e-6 or abs(theta - round(theta)) > 1e-6:
+        return None
+    return int(round(theta)) % d
 
 
 def local_correction_search(reg, g, search_depth=1, atol=STABILIZER_ATOL):
     """Deterministic search for a correction making ``reg`` verify against g.
 
-    Depth 1 covers products of per-vertex X^a Z^b (found in closed form from
-    the stabilizer eigenphases).  Depth 2 additionally conjugates chosen
-    vertices by Fourier powers, enumerated sparse-first then lexicographic;
-    the first success wins.  Returns None when nothing is found.
+    Each candidate is a Fourier-power vector f: the zero vector first, then
+    at depth 2 the rest, sparse-first then lexicographic.  If F^f |psi> lies
+    in the graph basis, <S_v> = omega^{theta_v} with unit modulus, and
+    Z^theta applied everywhere returns the canonical |G>; an X-type
+    byproduct is equivalent to Z's modulo the stabilizer group, so Z powers
+    cover every Pauli byproduct.  The first candidate whose correction
+    verifies wins; it carries the report of that verification.  Returns
+    None when nothing is found.
 
-    At depth 2 a vector is first screened vertex by vertex: <S_v> needs
-    unit modulus, and it depends only on the powers on v's closed
-    neighbourhood, so each neighbourhood assignment is checked once and
-    cached.  Screening only skips vectors the full check would reject; the
-    order is unchanged, and survivors are dressed and phase-fixed exactly as
-    without it, so the first success and its correction are the same.
+    <S_v> depends only on the powers on v's closed neighbourhood N[v], so
+    its Z power (or failure) is cached per (v, powers on N[v]): the zero
+    vector's come from one ``stabilizer_expectations`` pass, the others
+    from dressing N[v] alone.  Vertices are read smallest neighbourhood
+    first, and a candidate is dropped at its first failing vertex.
     """
     _require_vertex_register(reg, g)
     if search_depth not in (1, 2):
         raise ValueError("search_depth must be 1 or 2")
-    corr = _phase_fix(reg, g, atol)
-    if corr is not None:
-        return corr
-    if search_depth == 1:
-        return None
+    m = g.matrix()
+    hoods = [tuple(w for w in range(g.n) if w == v or m[v, w])
+             for v in range(g.n)]
+    order = sorted(range(g.n), key=lambda v: len(hoods[v]))
     zeros = (0,) * g.n
-    passes = _neighbourhood_filter(reg, g)
-    for fvec in _fourier_vectors(g.n):
-        if not any(fvec) or not passes(fvec):
-            continue  # depth-1 case already tried, or some |<S_v>| != 1
-        trial = apply_correction(reg, CorrectionSet(zeros, zeros, fvec))
-        corr = _phase_fix(trial, g, atol)
-        if corr is not None:
-            return CorrectionSet(corr.x_powers, corr.z_powers, fvec)
+    powers = {(v, (0,) * len(hoods[v])): _z_power(mu, g.d)
+              for v, mu in enumerate(stabilizer_expectations(reg, g))}
+    for fvec in _candidates(g.n, search_depth):
+        z = [0] * g.n
+        for v in order:
+            key = (v, tuple(fvec[w] for w in hoods[v]))
+            if key not in powers:
+                local = tuple(fvec[w] if w in hoods[v] else 0
+                              for w in range(g.n))
+                dressed = apply_correction(
+                    reg, CorrectionSet(zeros, zeros, local))
+                powers[key] = _z_power(
+                    sv.overlap(dressed, stabilizer_apply(dressed, g, v)), g.d)
+            z[v] = powers[key]
+            if z[v] is None:
+                break
+        else:
+            corr = CorrectionSet(zeros, tuple(z), fvec)
+            rep = stabilizer_verify(apply_correction(reg, corr), g, atol)
+            if rep.passed:
+                return replace(corr, report=rep)
     return None
 
 

@@ -49,7 +49,7 @@ OPS = {
     "edsr": Op({"emitter": int, "control_level": int}, "edsr"),
     "emit": Op({"emitter": int, "photon": int, "bin": int}, None),
     "cz": Op({"emitter": int, "other": int, "weight": int}, "cz",
-             ("weight",), ("emitter", "other")),
+             distinct=("emitter", "other")),
     "measure": Op({"emitter": int}, "measure"),
     "idle": Op({"emitter": int, "duration": float}, None, ("duration",)),
 }
@@ -551,9 +551,9 @@ def verify_against_target(trace, graph, photon_order=None, depth=2,
             results.append(BranchResult(br.outcomes, br.probability, None,
                                         float("inf"), False))
             continue
-        rep = gm.stabilizer_verify(gm.apply_correction(reg, corr), graph, atol)
         results.append(BranchResult(br.outcomes, br.probability, corr,
-                                    rep.max_deviation, rep.passed))
+                                    corr.report.max_deviation,
+                                    corr.report.passed))
     return VerificationReport(graph, order, tuple(results))
 
 

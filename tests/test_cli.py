@@ -195,6 +195,8 @@ class TestBudgetCommand:
                                "levels": [1]}]), "sb2", id="one-level"),
         pytest.param(program([{"op": "cz", "emitter": 0, "other": 0}]), "sb2",
                      id="cz-with-itself"),
+        pytest.param(program([{"op": "cz", "emitter": 0, "other": 1}]), "sb2",
+                     id="cz-without-weight"),
         pytest.param(program([], d=None), "sb2", id="null-d"),
         pytest.param(program(5), "sb2", id="instructions-not-a-list"),
         pytest.param([program([])], "sb2", id="top-level-list"),

@@ -24,10 +24,31 @@ def brute_force_correction(reg, g, max_power=None):
     return None
 
 
+def reference_phase_fix(reg, g, atol):
+    """The search's depth-1 step as it stood before the single loop, kept
+    verbatim: Z powers from one full set of stabilizer eigenphases, then a
+    full verification of the corrected state."""
+    d = g.d
+    mus = gm.stabilizer_expectations(reg, g)
+    z = []
+    for mu in mus:
+        if abs(abs(mu) - 1.0) > 1e-6:
+            return None
+        theta = np.angle(mu) * d / (2 * np.pi)
+        k = int(round(theta)) % d
+        if abs(theta - round(theta)) > 1e-6:
+            return None
+        z.append(k)
+    corr = gm.CorrectionSet((0,) * g.n, tuple(z))
+    if gm.stabilizer_verify(gm.apply_correction(reg, corr), g, atol).passed:
+        return corr
+    return None
+
+
 def reference_correction_search(reg, g, atol=gm.STABILIZER_ATOL):
     """Depth-2 search without neighbourhood screening: every Fourier-power
     vector, sparse-first then lexicographic, is dressed and phase-fixed."""
-    corr = gm._phase_fix(reg, g, atol)
+    corr = reference_phase_fix(reg, g, atol)
     if corr is not None:
         return corr
     zeros = (0,) * g.n
@@ -37,7 +58,7 @@ def reference_correction_search(reg, g, atol=gm.STABILIZER_ATOL):
         if not any(fvec):
             continue  # depth-1 case already tried
         trial = gm.apply_correction(reg, gm.CorrectionSet(zeros, zeros, fvec))
-        corr = gm._phase_fix(trial, g, atol)
+        corr = reference_phase_fix(trial, g, atol)
         if corr is not None:
             return gm.CorrectionSet(corr.x_powers, corr.z_powers, fvec)
     return None
@@ -228,6 +249,7 @@ class TestCorrectionSearch:
         g = gm.make_ring(4, 3)
         corr = gm.local_correction_search(gm.build_graph_state(g), g, 1)
         assert corr is not None and corr.is_identity()
+        assert corr.report.passed
 
     def test_recovers_planted_z_square(self):
         g = gm.make_linear(3, 3)
@@ -235,8 +257,8 @@ class TestCorrectionSearch:
         dirty = sv.apply_pauli_power(reg, 1, "Z", 2)
         corr = gm.local_correction_search(dirty, g, 1)
         assert corr is not None
-        fixed = gm.apply_correction(dirty, corr)
-        assert gm.stabilizer_verify(fixed, g).passed
+        rep = gm.stabilizer_verify(gm.apply_correction(dirty, corr), g)
+        assert rep.passed and corr.report == rep
         # the closed-form answer is the inverse power on vertex 1
         assert corr.z_powers[1] == 1
 
@@ -250,7 +272,7 @@ class TestCorrectionSearch:
             tuple(int(x) for x in rng.integers(0, d, 4)))
         dirty = gm.apply_correction(reg, plant)
         corr = gm.local_correction_search(dirty, g, 1)
-        assert corr is not None
+        assert corr is not None and corr.report.passed
         assert gm.stabilizer_verify(gm.apply_correction(dirty, corr),
                                     g).passed
 
@@ -264,6 +286,7 @@ class TestCorrectionSearch:
         smart = gm.local_correction_search(dirty, g, 1)
         brute = brute_force_correction(dirty, g)
         assert smart is not None and brute is not None
+        assert smart.report.passed
         for corr in (smart, brute):
             assert gm.stabilizer_verify(gm.apply_correction(dirty, corr),
                                         g).passed
@@ -286,8 +309,10 @@ class TestCorrectionSearch:
         assert corr == reference_correction_search(reg, g)
         assert (corr is not None) == recoverable
         if corr is not None:
-            assert gm.stabilizer_verify(gm.apply_correction(reg, corr),
-                                        g).passed
+            rep = gm.stabilizer_verify(gm.apply_correction(reg, corr), g)
+            assert rep.passed
+            # the attached report is that of the same corrected state
+            assert corr.report.deviations == rep.deviations
 
     def test_not_found_is_a_value(self):
         # a non-graph state: |000>

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdonor import budget as bg
+from qdonor import fusion as fu
 from qdonor import graphs as gm
 from qdonor import protocols as pr
 from qdonor import statevec as sv
@@ -115,37 +116,48 @@ def _steps(d, n_emitters):
         st.builds(pr.Instruction, st.just("idle"), emitter=emitter),
     ]
     if n_emitters == 2:   # a CZ joins two distinct emitters
-        pair = st.permutations([0, 1])
-        kinds += [
-            st.builds(lambda p, w: pr.cz(*p, weight=w), pair,
-                      st.integers(-2 * d, 2 * d)),
-            pair.map(lambda p: pr.Instruction("cz", emitter=p[0],
-                                              other=p[1])),
-        ]
+        kinds.append(st.builds(lambda p, w: pr.cz(*p, weight=w),
+                               st.permutations([0, 1]),
+                               st.integers(-2 * d, 2 * d)))
     return st.lists(st.one_of(kinds), max_size=12)
 
 
 @st.composite
 def valid_programs(draw):
     """Random programs that pass validation: d=2..8, one or two emitters,
-    every photon emitted through its bins in order, readout last."""
+    every photon emitted through its bins in order, readout last.
+
+    A photon comes as the compilers' emission block from one emitter, which
+    leaves no vacuum behind, unless a draw of 7 in 0..7 makes it bare: one
+    emission per bin, each from its own emitter, that other steps may fall
+    between.  The readout measures a suffix of a random emitter order, and
+    the count skipped leans to zero, since an unmeasured donor must end in
+    one definite level.  About two draws in three run through the readout,
+    and every program of the all-bare form can still be drawn.
+    """
     d = draw(st.integers(2, 8))
     n_emitters = draw(st.integers(1, 2))
     n_photons = draw(st.integers(0, 3))
     others = draw(_steps(d, n_emitters))
     # bit k of one integer picks the emitter of emission k (one draw)
     mask = draw(st.integers(0, n_emitters ** (n_photons * d) - 1))
-    emits = [pr.emit(mask >> k & 1, k // d, k % d)
-             for k in range(n_photons * d)]
-    # others[i] follows the first cuts[i] emissions: every interleaving once
-    cuts = sorted(draw(st.lists(st.integers(0, len(emits)),
+    units = []
+    for p in range(n_photons):
+        if draw(st.integers(0, 7)) < 7:
+            units.append(pr._emission_block(mask >> p * d & 1, p, d))
+        else:
+            units += [[pr.emit(mask >> k & 1, p, k % d)]
+                      for k in range(p * d, (p + 1) * d)]
+    # others[i] follows the first cuts[i] units: every interleaving once
+    cuts = sorted(draw(st.lists(st.integers(0, len(units)),
                                 min_size=len(others), max_size=len(others))))
     ins, placed = [], 0
     for cut, step in zip(cuts, others):
-        ins += emits[placed:cut] + [step]
+        ins += sum(units[placed:cut], []) + [step]
         placed = cut
-    ins += emits[placed:]
-    for e in draw(st.lists(st.integers(0, n_emitters - 1), unique=True)):
+    ins += sum(units[placed:], [])
+    order = draw(st.permutations(range(n_emitters)))
+    for e in order[draw(st.integers(0, n_emitters)):]:
         ins.append(pr.measure_donor(e))
     return pr.Program(d, n_emitters, n_photons, tuple(ins))
 
@@ -190,6 +202,10 @@ class TestInstructionTable:
     def test_instruction_fields_checked(self, kw):
         with pytest.raises(ValueError):
             pr.Instruction("permute", **kw)
+
+    def test_cz_needs_a_weight(self):
+        with pytest.raises(ValueError, match="weight"):
+            pr.Instruction("cz", emitter=0, other=1)
 
     @pytest.mark.parametrize("ins", [
         pr.permute(0, 0, 2), pr.edsr(0, 2), pr.fourier(0, (0, 2)),
@@ -423,13 +439,22 @@ class TestLinearProtocol:
             assert hit is not None
 
 
+@functools.lru_cache(maxsize=None)
+def verified(protocol, d, step_order="verified"):
+    """Depth-2 verification report of a compiled protocol against its target
+    graph (linear: four photons), shared by the tests that read it."""
+    compile_ = {"six-ring": pr.compile_six_ring,
+                "ladder": lambda d: pr.compile_ladder(d, step_order),
+                "linear": lambda d: pr.compile_linear(d, 4)}[protocol]
+    graph, order = pr.target_graph(protocol, d, 4)
+    return pr.verify_against_target(
+        pr.execute(compile_(d), enumerate_all=True), graph, order)
+
+
 class TestTwoEmitterProtocols:
     @pytest.mark.parametrize("d", [2, 3])
     def test_six_ring_verifies(self, d):
-        trace = pr.execute(pr.compile_six_ring(d), enumerate_all=True)
-        graph, order = pr.target_graph("six-ring", d)
-        rep = pr.verify_against_target(trace, graph, order)
-        assert rep.passed
+        assert verified("six-ring", d).passed
 
     def test_six_ring_is_not_a_line(self):
         trace = pr.execute(pr.compile_six_ring(2), enumerate_all=True)
@@ -459,20 +484,14 @@ class TestTwoEmitterProtocols:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_ladder_verifies(self, d):
-        trace = pr.execute(pr.compile_ladder(d), enumerate_all=True)
-        graph, order = pr.target_graph("ladder", d)
-        rep = pr.verify_against_target(trace, graph, order)
-        assert rep.passed
+        assert verified("ladder", d).passed
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_ladder_literal_step_order_fails(self, d):
         # published table order; verification arbitrates.  No branch
         # passes at full search depth: no local correction recovers the
         # missing middle rung.
-        trace = pr.execute(pr.compile_ladder(d, "literal"),
-                           enumerate_all=True)
-        graph, order = pr.target_graph("ladder", d)
-        rep = pr.verify_against_target(trace, graph, order, depth=2)
+        rep = verified("ladder", d, "literal")
         assert len(rep.branches) == d * d
         assert not rep.passed
         for br in rep.branches:
@@ -509,3 +528,25 @@ class TestVerificationReports:
         graph, _ = pr.target_graph("linear", 2, 3)
         with pytest.raises(ValueError, match="photon count"):
             pr.verify_against_target(trace, graph)
+
+    def test_report_bytes_are_pinned(self):
+        # one SHA-256 over the verification reports of both schemes: the
+        # direct protocols (scheme B) and every Bell outcome of a fused
+        # six-chain (scheme A), corrected register bytes included
+        h = hashlib.sha256()
+        reports = [verified(name, d) for d in (2, 3, 4)
+                   for name in ("six-ring", "ladder", "linear")]
+        reports.append(verified("ladder", 2, "literal"))
+        for rep in reports:
+            h.update(json.dumps(rep.to_dict(), sort_keys=True).encode())
+        for d in (2, 3):
+            chain = gm.build_graph_state(gm.make_linear(6, d))
+            for a in range(d):
+                for b in range(d):
+                    out = fu.fuse_chain_ends(chain, outcome=(a, b))
+                    h.update(json.dumps(out.to_dict(),
+                                        sort_keys=True).encode())
+                    if out.register is not None:
+                        h.update(out.register.amps.tobytes())
+        assert h.hexdigest() == (
+            "1dcc77c1d47f0ffb32a9ca230a0ab8ae9084c9ec7a90492391f83021876f08ae")
