@@ -344,7 +344,11 @@ def compile_ladder(d, step_order="verified"):
 
 
 def _check_dim(d):
-    if not 2 <= d <= MAX_SINGLE_PHOTON_D:
+    """A dimension below 2 is malformed input; one above the donor's eight
+    nuclear levels is a resource limit."""
+    if d < 2:
+        raise ValueError(f"qudit dimension must be at least 2, got {d}")
+    if d > MAX_SINGLE_PHOTON_D:
         raise sv.CapacityError(
             f"qudit dimension {d} outside supported range "
             f"[2, {MAX_SINGLE_PHOTON_D}]")

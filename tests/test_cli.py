@@ -239,6 +239,8 @@ class TestBudgetCommand:
                  id="cap-0"),
     pytest.param(("protocol", "run", "--protocol", "linear", "--cap", "-5"),
                  id="cap-negative"),
+    pytest.param(("protocol", "run", "--protocol", "linear", "--d", "1"),
+                 id="protocol-d-1"),
     pytest.param(("budget", "--qi", "0"), id="qi-0"),
     pytest.param(("budget", "--sweep", "Qi=1e5:1e6:log10:0"),
                  id="sweep-0-points"),

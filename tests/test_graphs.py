@@ -244,6 +244,38 @@ class TestStabilizerVerify:
             gm.stabilizer_verify(sv.init_register([2, 2], (0, 0)), g)
 
 
+class TestDressedExpectation:
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_matches_dressed_register(self, data):
+        # the search's kernel reads <F^f psi| S_v |F^f psi> as a Pauli
+        # product; on any state, graph or not, it must match dressing the
+        # register with Fourier gates and applying S_v
+        d = data.draw(st.integers(2, 6))
+        n = data.draw(st.integers(2, 4 if d <= 4 else 3))
+        m = np.zeros((n, n), dtype=int)
+        for i, j in itertools.combinations(range(n), 2):
+            m[i, j] = m[j, i] = data.draw(st.integers(0, d - 1))
+        g = gm.GraphSpec.from_matrix(d, m)
+        fvec = tuple(data.draw(st.lists(st.integers(0, 3), min_size=n,
+                                        max_size=n)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        amps = rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n)
+        reg = sv.Register((d,) * n, amps / np.linalg.norm(amps))
+        zeros = (0,) * n
+        dressed = gm.apply_correction(reg, gm.CorrectionSet(zeros, zeros,
+                                                            fvec))
+        plain = gm.stabilizer_expectations(reg, g)
+        for v in range(n):
+            mu = gm._dressed_expectation(reg, m, v, fvec)
+            want = sv.overlap(dressed, gm.stabilizer_apply(dressed, g, v))
+            assert abs(mu - want) <= 1e-12
+            # at f = 0 the kernel is the undressed expectation, bit for bit
+            at_zero = gm._dressed_expectation(reg, m, v, zeros)
+            assert at_zero == plain[v]
+            assert at_zero == sv.overlap(reg, gm.stabilizer_apply(reg, g, v))
+
+
 class TestCorrectionSearch:
     def test_exact_state_needs_identity(self):
         g = gm.make_ring(4, 3)

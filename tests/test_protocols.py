@@ -44,11 +44,16 @@ class TestCompilers:
         # fourier + d emission pairs + (d-1) permutes + fourier + measure
         assert len(prog.instructions) == 3 * d + 2
 
-    def test_dimension_range(self):
+    def test_dimension_above_range_is_a_capacity_error(self):
         with pytest.raises(sv.CapacityError):
             pr.compile_single_photon(9)
-        with pytest.raises(sv.CapacityError):
-            pr.compile_linear(1, 2)
+
+    @pytest.mark.parametrize("d", [1, 0, -2])
+    def test_dimension_below_two_is_malformed(self, d):
+        with pytest.raises(ValueError, match="at least 2"):
+            pr.compile_linear(d, 2)
+        with pytest.raises(ValueError, match="at least 2"):
+            pr.compile_six_ring(d)
 
     def test_linear_photon_budget(self):
         prog = pr.compile_linear(3, 4)
