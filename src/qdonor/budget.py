@@ -114,10 +114,6 @@ class OperationRow:
         if self.fidelity is not None and not 0 < self.fidelity <= 1:
             raise ValueError(f"fidelity {self.fidelity} outside (0, 1]")
 
-    @property
-    def mid_us(self):
-        return 0.5 * (self.duration_us[0] + self.duration_us[1])
-
 
 @dataclass(frozen=True)
 class OperationTable:

@@ -125,15 +125,23 @@ def _trace_dict(trace, seed, enumerated):
     return out
 
 
+def _seed(args):
+    """The --seed value; numpy's generators accept only non-negative seeds."""
+    if args.seed < 0:
+        raise ValueError(f"seed must be non-negative, got {args.seed}")
+    return args.seed
+
+
 def cmd_protocol(args):
     if args.cap is not None and args.cap < 1:
         raise ValueError(f"amplitude cap must be at least 1, got {args.cap}")
+    seed = _seed(args)
     out = _out_dir(args)
     program = _compile(args)
     enumerated = args.enumerate or args.mode == "verify"
-    trace = pr.execute(program, seed=args.seed, enumerate_all=enumerated,
+    trace = pr.execute(program, seed=seed, enumerate_all=enumerated,
                        cap=args.cap or sv.DEFAULT_AMPLITUDE_CAP)
-    _write_json(out / "trace.json", _trace_dict(trace, args.seed, enumerated))
+    _write_json(out / "trace.json", _trace_dict(trace, seed, enumerated))
     if args.mode == "run":
         print(f"{args.protocol} d={args.d}: executed "
               f"{len(program.instructions)} instructions -> "
@@ -169,9 +177,8 @@ def cmd_protocol(args):
 
 
 def cmd_fusion(args):
+    seed = _seed(args)
     out = _out_dir(args)
-    if args.d < 2:
-        raise ValueError("fusion needs d >= 2")
     table = {str(d): fu.success_probability(d) for d in range(2, 9)}
     result = {
         "d": args.d,
@@ -179,17 +186,19 @@ def cmd_fusion(args):
         "probability_table": table,
         "ancilla_modes": fu.FusionSpec(args.d).ancilla_modes,
         "attempts": fu.sample_attempts(fu.success_probability(args.d),
-                                       args.trials, args.seed),
+                                       args.trials, seed),
     }
     simulate = args.d ** args.chain_n <= 2**20
     chain_ok = True
     if simulate:
+        # the target first: it names a chain too short to fuse
+        target = fu.fused_chain_graph(args.chain_n, args.d)
         reg = gm.build_graph_state(gm.make_linear(args.chain_n, args.d))
-        outcome = fu.fuse_chain_ends(reg, seed=args.seed)
+        outcome = fu.fuse_chain_ends(reg, seed=seed)
         chain_ok = outcome.success
         result["chain_fusion"] = {
             "chain_n": args.chain_n,
-            "target": fu.fused_chain_graph(args.chain_n, args.d).to_dict(),
+            "target": target.to_dict(),
             "outcome": outcome.to_dict(),
         }
     else:
@@ -244,6 +253,9 @@ def _parse_sweep(expr):
     if points < 1:
         raise ValueError(f"a sweep needs at least one point, got {points}")
     if scale == "log10":
+        if start <= 0 or stop <= 0:
+            raise ValueError(f"a log10 sweep needs positive endpoints, got "
+                             f"{start} and {stop}")
         values = np.geomspace(start, stop, points)
     elif scale in ("lin", "linear"):
         values = np.linspace(start, stop, points)

@@ -39,10 +39,6 @@ class FusionSpec:
     def ancilla_modes(self):
         return self.d * (self.d - 2)
 
-    def to_dict(self):
-        return {"d": self.d, "ports": self.ports,
-                "ancilla_modes": self.ancilla_modes}
-
 
 def success_probability(d):
     """2/(d(d+1)) for odd d, 2/d^2 for even d; 1/2 at d=2.
@@ -122,7 +118,7 @@ def bell_state(d, a, b):
     return base @ sv.fourier_matrix(d).T
 
 
-def project_pair(reg, i, j, a, b, atol=1e-14):
+def project_pair(reg, i, j, a, b):
     """Project subsystems i, j onto Bell (a, b); both qudits are consumed.
 
     Returns (probability, collapsed register without i and j); errors on a
@@ -136,7 +132,7 @@ def project_pair(reg, i, j, a, b, atol=1e-14):
     bell = bell_state(d, a, b)
     amps = np.tensordot(np.conj(bell), reg.amps, axes=([0, 1], [i, j]))
     prob = float(np.sum(np.abs(amps) ** 2))
-    if prob <= atol:
+    if prob <= sv.ZERO_PROBABILITY:
         raise ValueError(f"zero-probability projection onto Bell ({a},{b})")
     return prob, sv._without_axes(reg, amps / math.sqrt(prob), (i, j))
 
@@ -176,22 +172,21 @@ class FusionOutcome:
         }
 
 
-def fuse_chain_ends(reg, outcome=(0, 0), depth=2, seed=None,
-                    atol=gm.STABILIZER_ATOL):
+def fuse_chain_ends(reg, outcome=(0, 0), seed=None):
     """Fuse the end photons of a verified linear chain.
 
     The register must hold a canonical n-chain graph state (this is checked;
     byproduct-carrying states should be corrected first).  The chosen Bell
     outcome is projected out of the first and last qudits, both are removed,
     and the result is verified against the contracted chain graph by a
-    local-correction search.  With a seed, the attempt count of the
+    depth-2 local-correction search.  With a seed, the attempt count of the
     non-deterministic physical gate is sampled from the geometric law as
     bookkeeping.
     """
     n = reg.n_subsystems
     d = reg.radices[0]
     chain = gm.make_linear(n, d)
-    if not gm.stabilizer_verify(reg, chain, atol).passed:
+    if not gm.stabilizer_verify(reg, chain).passed:
         raise ValueError("register does not verify against the linear chain")
     prob, collapsed = project_pair(reg, 0, n - 1, outcome[0], outcome[1])
     target = fused_chain_graph(n, d)
@@ -199,7 +194,7 @@ def fuse_chain_ends(reg, outcome=(0, 0), depth=2, seed=None,
     if seed is not None:
         rng = np.random.default_rng(seed)
         attempts = int(rng.geometric(success_probability(d)))
-    corr = gm.local_correction_search(collapsed, target, depth, atol)
+    corr = gm.local_correction_search(collapsed, target, search_depth=2)
     if corr is None:
         return FusionOutcome(False, tuple(outcome), prob, None, None,
                              float("inf"), attempts)
@@ -216,35 +211,35 @@ _TARGETS = {
 }
 
 
-def compare_schemes(d, target="ring6", table_single=None, table_double=None,
-                    cavity=None, frequency_matched=True):
+def compare_schemes(d, target="ring6"):
     """Fusion-built versus directly-coupled resource-state costs.
 
     Scheme A grows one linear chain per pass and fuses; a failed fusion
     destroys the two measured photons and the pass restarts, so the expected
     pass count is p^-k for k required fusions.  Scheme B compiles the
     coupled-emitter protocol once, deterministically.  Ancilla modes
-    (d(d-2) per fusion attempt) are reported, not simulated.
+    (d(d-2) per fusion attempt) are reported, not simulated.  Budgets use
+    the default cavity with the single-donor table for scheme A and the
+    SB2 table for scheme B.
     """
     if target not in _TARGETS:
         raise ValueError(f"unsupported target {target!r}; "
                          f"choose from {sorted(_TARGETS)}")
     protocol, n_fusions = _TARGETS[target]
-    cavity = cavity or bg.CavityParams()
-    table_single = table_single or bg.single_donor_table()
-    table_double = table_double or bg.sb2_table()
+    p = success_probability(d)      # checks d before the graph is built
     graph, _ = pr.target_graph(protocol, d)
-    p = success_probability(d)
+    cavity = bg.CavityParams()
     passes = expected_attempts(p**n_fusions)
 
     chain_n = graph.n + 2 * n_fusions
     chain_budget = bg.timing_fidelity_budget(
-        pr.compile_linear(d, chain_n), table_single, cavity)
+        pr.compile_linear(d, chain_n), bg.single_donor_table(), cavity)
     if protocol == "six-ring":
         program_b = pr.compile_six_ring(d)
     else:
         program_b = pr.compile_ladder(d)
-    direct_budget = bg.timing_fidelity_budget(program_b, table_double, cavity)
+    direct_budget = bg.timing_fidelity_budget(program_b, bg.sb2_table(),
+                                              cavity)
 
     scheme_a = {
         "deterministic": p**n_fusions >= 1.0,
@@ -257,7 +252,7 @@ def compare_schemes(d, target="ring6", table_single=None, table_double=None,
         "photons_destroyed_mean": 2 * n_fusions * passes.mean,
         "expected_photons": chain_n * passes.mean,
         "ancilla_modes_per_fusion": FusionSpec(d).ancilla_modes,
-        "fusion_permitted": bool(frequency_matched),
+        "fusion_permitted": True,
         "time_mean_us": chain_budget.duration_us[1] * passes.mean,
         "chain_budget": chain_budget.to_dict(),
     }

@@ -71,61 +71,53 @@ class GraphSpec:
         return cls.from_dict(json.loads(s))
 
 
-def make_linear(n, d, w=1):
-    """Path graph 0-1-...-(n-1), all edges weight w."""
+def make_linear(n, d):
+    """Path graph 0-1-...-(n-1), all edges weight 1."""
     if n < 2:
         raise ValueError("a linear graph needs n >= 2")
-    _check_weight(w, d)
     m = np.zeros((n, n), dtype=int)
     for i in range(n - 1):
-        m[i, i + 1] = m[i + 1, i] = w
+        m[i, i + 1] = m[i + 1, i] = 1
     return GraphSpec.from_matrix(d, m)
 
 
-def make_ring(n, d, w=1):
-    """Cycle graph, each vertex of degree two."""
+def make_ring(n, d):
+    """Cycle graph, each vertex of degree two, all edges weight 1."""
     if n < 3:
         raise ValueError("a ring needs n >= 3")
-    _check_weight(w, d)
     m = np.zeros((n, n), dtype=int)
     for i in range(n):
         j = (i + 1) % n
-        m[i, j] = m[j, i] = w
+        m[i, j] = m[j, i] = 1
     return GraphSpec.from_matrix(d, m)
 
 
-def make_ladder(rows, cols, d, w=1):
-    """Grid graph; vertex (r, c) has index r*cols + c.
+def make_ladder(rows, cols, d):
+    """Grid graph, all edges weight 1; vertex (r, c) has index r*cols + c.
 
     A 2x3 ladder has two rails of two edges each plus three rungs.
     """
     if rows < 1 or cols < 1 or rows * cols < 2:
         raise ValueError(f"bad ladder shape {rows}x{cols}")
-    _check_weight(w, d)
     n = rows * cols
     m = np.zeros((n, n), dtype=int)
     for r in range(rows):
         for c in range(cols):
             v = r * cols + c
             if c + 1 < cols:
-                m[v, v + 1] = m[v + 1, v] = w
+                m[v, v + 1] = m[v + 1, v] = 1
             if r + 1 < rows:
-                m[v, v + cols] = m[v + cols, v] = w
+                m[v, v + cols] = m[v + cols, v] = 1
     return GraphSpec.from_matrix(d, m)
-
-
-def _check_weight(w, d):
-    if not 1 <= w < d:
-        raise ValueError(f"edge weight {w} outside [1, {d})")
 
 
 # -- construction ---------------------------------------------------------
 
 
-def build_graph_state(g, cap=sv.DEFAULT_AMPLITUDE_CAP):
+def build_graph_state(g):
     """Apply F_d to every |0> then CZ powers per the adjacency."""
     reg = sv.init_register((g.d,) * g.n, (0,) * g.n,
-                           labels=(sv.ROLE_PHOTON,) * g.n, cap=cap)
+                           labels=(sv.ROLE_PHOTON,) * g.n)
     for v in range(g.n):
         reg = sv.apply_fourier(reg, v)
     for i, j, w in g.edges():
@@ -143,26 +135,15 @@ def _require_vertex_register(reg, g):
             f"d={g.d} graph")
 
 
-def stabilizer_apply(reg, g, v):
-    """S_v |psi> with S_v = X_v prod_w Z_w^{A_vw}."""
-    _require_vertex_register(reg, g)
-    m = g.matrix()
-    out = sv.apply_pauli_power(reg, v, "X", 1)
-    for w in range(g.n):
-        if m[v, w]:
-            out.amps *= sv._z_phases(out, w, int(m[v, w]))
-    return out
-
-
-def _dressed_expectation(reg, m, v, fvec):
-    """<psi| F^-f S_v F^f |psi>, read as a Pauli product on N[v].
+def _dressed_stabilizer(reg, m, v, fvec):
+    """The amplitudes of F^-f S_v F^f |psi>, as a Pauli product on N[v].
 
     With F|j> = sum_k omega^{jk} |k> / sqrt(d), F^dag X F = Z^-1 and
     F^dag Z F = X, so each F power on w turns X^a into Z^-a and Z^b into
     X^b, with period 4.  S_v carries a single Pauli power on each vertex of
     N[v], so the conjugated product is again one power per vertex: one roll
-    over the X axes, the Z phases in increasing axis order, one vdot.  No
-    gate runs; at f = 0 this is exactly ``stabilizer_apply`` and ``overlap``.
+    over the X axes, then the Z phases in increasing axis order.  No gate
+    runs; at f = 0 this is S_v |psi> itself.
     """
     x_axes, x_shifts, z_powers = [], [], []
     for w in range(m.shape[0]):
@@ -180,7 +161,20 @@ def _dressed_expectation(reg, m, v, fvec):
            else reg.amps.copy())
     for w, p in z_powers:
         out *= sv._z_phases(reg, w, p)
-    return complex(np.vdot(reg.amps, out))
+    return out
+
+
+def stabilizer_apply(reg, g, v):
+    """S_v |psi> with S_v = X_v prod_w Z_w^{A_vw}."""
+    _require_vertex_register(reg, g)
+    out = _dressed_stabilizer(reg, g.matrix(), v, (0,) * g.n)
+    return sv.Register(reg.radices, out, reg.labels, reg.cap)
+
+
+def _dressed_expectation(reg, m, v, fvec):
+    """<psi| F^-f S_v F^f |psi>; at f = 0 exactly ``stabilizer_apply`` and
+    ``overlap``."""
+    return complex(np.vdot(reg.amps, _dressed_stabilizer(reg, m, v, fvec)))
 
 
 def stabilizer_expectations(reg, g):
@@ -193,8 +187,9 @@ def stabilizer_expectations(reg, g):
 
 @dataclass(frozen=True)
 class StabilizerReport:
+    """Per-vertex deviations; a vertex passes at or below STABILIZER_ATOL."""
+
     deviations: tuple
-    atol: float
 
     @property
     def max_deviation(self):
@@ -202,28 +197,21 @@ class StabilizerReport:
 
     @property
     def passed(self):
-        return self.max_deviation <= self.atol
+        return self.max_deviation <= STABILIZER_ATOL
 
     def failing_vertices(self):
-        return [v for v, dev in enumerate(self.deviations) if dev > self.atol]
-
-    def to_dict(self):
-        return {
-            "deviations": [float(x) for x in self.deviations],
-            "max_deviation": float(self.max_deviation),
-            "passed": bool(self.passed),
-            "atol": self.atol,
-        }
+        return [v for v, dev in enumerate(self.deviations)
+                if dev > STABILIZER_ATOL]
 
 
-def stabilizer_verify(reg, g, atol=STABILIZER_ATOL):
+def stabilizer_verify(reg, g):
     """Per-vertex deviation ||S_v psi - psi||_2; reported, never thrown."""
     _require_vertex_register(reg, g)
     devs = []
     for v in range(g.n):
         diff = stabilizer_apply(reg, g, v).amps - reg.amps
         devs.append(float(np.linalg.norm(diff)))
-    return StabilizerReport(tuple(devs), atol)
+    return StabilizerReport(tuple(devs))
 
 
 # -- local corrections ----------------------------------------------------
@@ -312,7 +300,7 @@ def _z_power(mu, d):
     return int(round(theta)) % d
 
 
-def local_correction_search(reg, g, search_depth=1, atol=STABILIZER_ATOL):
+def local_correction_search(reg, g, search_depth=1):
     """Deterministic search for a correction making ``reg`` verify against g.
 
     Each candidate is a Fourier-power vector f: the zero vector first, then
@@ -353,7 +341,7 @@ def local_correction_search(reg, g, search_depth=1, atol=STABILIZER_ATOL):
                 break
         else:
             corr = CorrectionSet(zeros, tuple(z), fvec)
-            rep = stabilizer_verify(apply_correction(reg, corr), g, atol)
+            rep = stabilizer_verify(apply_correction(reg, corr), g)
             if rep.passed:
                 return replace(corr, report=rep)
     return None

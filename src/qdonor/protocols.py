@@ -23,6 +23,8 @@ from . import statevec as sv
 from . import graphs as gm
 
 MAX_SINGLE_PHOTON_D = 8
+# a W-state branch passes once its best fidelity is this close to 1
+W_FIDELITY_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -532,9 +534,9 @@ class VerificationReport:
         }
 
 
-def verify_against_target(trace, graph, photon_order=None, depth=2,
-                          atol=gm.STABILIZER_ATOL):
-    """Stabilizer report per enumerated donor outcome, with corrections.
+def verify_against_target(trace, graph, photon_order=None):
+    """Stabilizer report per enumerated donor outcome, with the corrections
+    of a depth-2 local-correction search.
 
     ``photon_order`` maps graph vertex i to the photon id sitting there;
     identity by default.  Overall pass requires every outcome to pass.
@@ -550,7 +552,7 @@ def verify_against_target(trace, graph, photon_order=None, depth=2,
     results = []
     for br in trace.branches:
         reg = sv.reorder_subsystems(br.photons, order)
-        corr = gm.local_correction_search(reg, graph, depth, atol)
+        corr = gm.local_correction_search(reg, graph, search_depth=2)
         if corr is None:
             results.append(BranchResult(br.outcomes, br.probability, None,
                                         float("inf"), False))
@@ -561,7 +563,7 @@ def verify_against_target(trace, graph, photon_order=None, depth=2,
     return VerificationReport(graph, order, tuple(results))
 
 
-def verify_w_state(trace, atol=1e-10):
+def verify_w_state(trace):
     """Check every donor outcome collapses to the uniform single-photon state.
 
     The byproduct is undone by an exhaustive search over Z powers per photon
@@ -583,5 +585,5 @@ def verify_w_state(trace, atol=1e-10):
                              target)) for a in range(d)),
             key=lambda t: t[1])
         rows.append((br.outcomes, best[0], best[1]))
-        ok = ok and best[1] >= 1 - atol
+        ok = ok and best[1] >= 1 - W_FIDELITY_ATOL
     return rows, ok

@@ -23,6 +23,9 @@ import numpy as np
 
 VALID_SPINS = (0.5, 1.5, 2.5, 3.5, 4.5)
 
+# largest |H - H^dag| accepted, relative to the largest |H| entry
+HERMITIAN_RTOL = 1e-12
+
 # Measured constants for the bulk donor and the two-donor molecule.
 GAMMA_N_MHZ_PER_T = 5.55
 GAMMA_E_GHZ_PER_T = 27.97
@@ -211,10 +214,10 @@ def build_double_donor_hamiltonian(dp: DoubleSpinParams):
     return h
 
 
-def _check_hermitian(h, rtol=1e-12):
+def _check_hermitian(h):
     scale = np.abs(h).max() or 1.0
     dev = np.abs(h - h.conj().T).max()
-    if dev > rtol * scale:
+    if dev > HERMITIAN_RTOL * scale:
         raise ValueError(f"Hamiltonian not Hermitian: deviation {dev}")
 
 

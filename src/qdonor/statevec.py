@@ -28,6 +28,8 @@ import numpy as np
 
 DEFAULT_AMPLITUDE_CAP = 2**25
 NORM_ATOL = 1e-10
+# an outcome at or below this probability is treated as impossible
+ZERO_PROBABILITY = 1e-14
 
 ROLE_DONOR = "donor-nucleus"
 ROLE_ELECTRON = "electron"
@@ -99,9 +101,9 @@ class Register:
     def copy(self):
         return Register(self.radices, self.amps.copy(), self.labels, self.cap)
 
-    def check_norm(self, atol=NORM_ATOL):
+    def check_norm(self):
         n = self.norm()
-        if abs(n - 1.0) > atol:
+        if abs(n - 1.0) > NORM_ATOL:
             raise ValueError(f"state norm drifted to {n}")
         return self
 
@@ -323,7 +325,7 @@ def photon_vacuum_level(reg, photon):
     return reg.radices[photon] - 1
 
 
-def _emit_into(amps, photon, bin, electron, atol=NORM_ATOL):
+def _emit_into(amps, photon, bin, electron):
     """In-place kernel of :func:`apply_emission`."""
     vac = amps.shape[photon] - 1
     if not 0 <= bin < vac:
@@ -331,7 +333,7 @@ def _emit_into(amps, photon, bin, electron, atol=NORM_ATOL):
     # occupancy check: the emitting branch must hold no earlier photon
     occupied = amps[_at(amps.ndim, (electron, ELECTRON_UP),
                         (photon, slice(0, vac)))]
-    if np.linalg.norm(occupied) > atol:
+    if np.linalg.norm(occupied) > NORM_ATOL:
         raise ValueError(
             f"photon {photon} already populated on a branch where emission "
             "triggers")
@@ -340,7 +342,7 @@ def _emit_into(amps, photon, bin, electron, atol=NORM_ATOL):
     amps[src] = 0.0
 
 
-def apply_emission(reg, photon, bin, electron=None, atol=NORM_ATOL):
+def apply_emission(reg, photon, bin, electron=None):
     """Cavity exchange: |up, vac> -> |down, photon in bin>, spin-down idle.
 
     Models the resonant spin-cavity energy swap as an instantaneous map; the
@@ -349,15 +351,15 @@ def apply_emission(reg, photon, bin, electron=None, atol=NORM_ATOL):
     if electron is None:
         electron = reg.electron_index()
     new = reg.copy()
-    _emit_into(new.amps, photon, bin, electron, atol)
+    _emit_into(new.amps, photon, bin, electron)
     return new
 
 
-def finalize_photon(reg, photon, atol=NORM_ATOL):
+def finalize_photon(reg, photon):
     """Contract a photon's vacuum level away once every bin has been visited."""
     vac = photon_vacuum_level(reg, photon)
     leftover = np.linalg.norm(reg.amps[_at(reg.n_subsystems, (photon, vac))])
-    if leftover > atol:
+    if leftover > NORM_ATOL:
         raise ValueError(
             f"photon {photon} still has vacuum amplitude {leftover:.3e}")
     new = reg.amps[_at(reg.n_subsystems, (photon, slice(0, vac)))].copy()
@@ -421,7 +423,7 @@ def _project(reg, subsystem, outcome, p):
     return _without_axes(reg, amps, (subsystem,))
 
 
-def collapse(reg, subsystem, outcome, atol=1e-14):
+def collapse(reg, subsystem, outcome):
     """Project onto one outcome; the measured subsystem is consumed.
 
     Returns (record, renormalised register without the measured axis);
@@ -429,7 +431,7 @@ def collapse(reg, subsystem, outcome, atol=1e-14):
     """
     probs = outcome_probabilities(reg, subsystem)
     p = float(probs[outcome])
-    if p <= atol:
+    if p <= ZERO_PROBABILITY:
         raise ValueError(
             f"collapse onto zero-probability outcome {outcome} requested")
     return (MeasurementRecord(subsystem, int(outcome), p),
@@ -444,19 +446,19 @@ def measure(reg, subsystem, rng):
     return collapse(reg, subsystem, outcome)
 
 
-def enumerate_outcomes(reg, subsystem, atol=1e-14):
-    """(outcome, probability, collapsed) for every outcome above ``atol``,
-    levels ascending; each collapse consumes the subsystem."""
+def enumerate_outcomes(reg, subsystem):
+    """(outcome, probability, collapsed) for every possible outcome, levels
+    ascending; each collapse consumes the subsystem."""
     probs = outcome_probabilities(reg, subsystem)
     return [(level, float(p), _project(reg, subsystem, level, float(p)))
-            for level, p in enumerate(probs) if p > atol]
+            for level, p in enumerate(probs) if p > ZERO_PROBABILITY]
 
 
-def remove_subsystem(reg, subsystem, atol=NORM_ATOL):
+def remove_subsystem(reg, subsystem):
     """Drop a subsystem that sits in a definite basis level on every branch."""
     probs = outcome_probabilities(reg, subsystem)
     level = int(np.argmax(probs))
-    if abs(probs[level] - 1.0) > atol:
+    if abs(probs[level] - 1.0) > NORM_ATOL:
         raise ValueError(
             f"subsystem {subsystem} is not in a definite level "
             f"(probabilities {probs})")

@@ -64,7 +64,7 @@ def test_criterion_1_graph_state_algebra():
 def test_criterion_2_single_photon_w_state():
     with Timer() as t:
         trace = pr.execute(pr.compile_single_photon(3), enumerate_all=True)
-        rows, ok = pr.verify_w_state(trace, atol=1e-10)
+        rows, ok = pr.verify_w_state(trace)
         worst = min(f for _, _, f in rows)
     ok = ok and len(rows) == 3 and t.elapsed < 1.0
     assert verdict(2, ok, f"every donor outcome collapses to the uniform "
@@ -194,7 +194,7 @@ def test_criterion_4_stabilizer_suite():
             ]
             for name, prog, graph, order in cases:
                 trace = pr.execute(prog, enumerate_all=True)
-                rep = pr.verify_against_target(trace, graph, order, depth=2)
+                rep = pr.verify_against_target(trace, graph, order)
                 if not rep.passed:
                     failures.append((name, d))
     ok = not failures and t.elapsed < 300.0
@@ -229,7 +229,7 @@ def test_criterion_6_chain_fusion_to_ring():
             hits = 0
             for a in range(d):
                 for b in range(d):
-                    out = fu.fuse_chain_ends(reg, outcome=(a, b), depth=2)
+                    out = fu.fuse_chain_ends(reg, outcome=(a, b))
                     hits += bool(out.success)
             results[d] = hits
     ok = all(h >= 1 for h in results.values()) and t.elapsed < 120.0

@@ -1,9 +1,14 @@
 """CLI contracts: outputs, exit codes, byte-level determinism."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdonor import cli
 
@@ -246,13 +251,68 @@ class TestBudgetCommand:
                  id="sweep-0-points"),
     pytest.param(("budget", "--sweep", "Qi=1e5:1e6:log10:-3"),
                  id="sweep-negative-points"),
+    pytest.param(("compare", "--d", "1"), id="compare-d-1"),
 ])
 def test_malformed_numeric_argument_exits_2(tmp_path, capsys, argv):
     assert run(*argv, "--output", str(tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    assert "edge weight" not in err
     assert not any(tmp_path.iterdir())
+
+
+# (command, flag, smallest valid value, a word the error message must hold);
+# the flag's value is drawn below the valid range
+_NUMERIC_FLAGS = [
+    (("protocol", "run", "--protocol", "single-photon"), "--d", 2,
+     "dimension"),
+    (("fusion", "--trials", "10"), "--d", 2, "d >= 2"),
+    (("compare",), "--d", 2, "d >= 2"),
+    (("protocol", "run", "--protocol", "linear"), "--n", 1, "photon"),
+    (("protocol", "run", "--protocol", "single-photon"), "--seed", 0,
+     "seed"),
+    (("fusion", "--d", "2", "--trials", "10"), "--seed", 0, "seed"),
+    (("protocol", "run", "--protocol", "single-photon"), "--cap", 1, "cap"),
+    (("fusion", "--d", "2", "--trials", "10"), "--chain-n", 4, "chain"),
+    (("fusion", "--d", "2"), "--trials", 1, "trial"),
+]
+
+
+@st.composite
+def below_range_arguments(draw):
+    """(argv, word): one numeric argument set below its valid range."""
+    kind = draw(st.sampled_from(["int", "qi", "points", "log10"]))
+    if kind == "int":
+        command, flag, low, word = draw(st.sampled_from(_NUMERIC_FLAGS))
+        value = draw(st.integers(min_value=-10**9, max_value=low - 1))
+        return (*command, f"{flag}={value}"), word
+    if kind == "points":
+        points = draw(st.integers(min_value=-10**6, max_value=0))
+        return ("budget", f"--sweep=Qi=1e5:1e6:log10:{points}"), "point"
+    value = draw(st.floats(max_value=0.0, allow_nan=False,
+                           allow_infinity=False))
+    if kind == "qi":
+        return ("budget", f"--qi={value!r}"), "q_i"
+    ends = [repr(value), "1e6"]
+    if draw(st.booleans()):
+        ends.reverse()
+    return ("budget", f"--sweep=Qi={ends[0]}:{ends[1]}:log10:3"), "sweep"
+
+
+@settings(max_examples=30, deadline=None)
+@given(below_range_arguments())
+def test_below_range_numeric_arguments_exit_2(case):
+    argv, word = case
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, \
+            contextlib.redirect_stderr(err):
+        assert run(*argv, "--output", out) == 2
+        assert not any(Path(out).iterdir())
+    err = err.getvalue()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert word in err, (argv, err)
 
 
 class TestDeterminism:

@@ -75,8 +75,10 @@ class TestChainFusion:
         reg = gm.build_graph_state(gm.make_linear(8, 2))
         for a in range(2):
             for b in range(2):
-                out = fu.fuse_chain_ends(reg, outcome=(a, b), depth=1)
+                out = fu.fuse_chain_ends(reg, outcome=(a, b))
                 assert out.success, (a, b)
+                # Pauli byproducts alone: no Fourier dressing was needed
+                assert not any(out.correction.fourier_powers), (a, b)
 
     def test_success_branch_stays_normalized(self):
         reg = gm.build_graph_state(gm.make_linear(8, 3))

@@ -408,8 +408,10 @@ class TestLinearProtocol:
     def test_outputs_verify_against_line(self, d, n):
         trace = pr.execute(pr.compile_linear(d, n), enumerate_all=True)
         graph, order = pr.target_graph("linear", d, n)
-        rep = pr.verify_against_target(trace, graph, order, depth=1)
+        rep = pr.verify_against_target(trace, graph, order)
         assert rep.passed
+        assert not any(any(br.correction.fourier_powers)
+                       for br in rep.branches)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -465,7 +467,7 @@ class TestTwoEmitterProtocols:
         trace = pr.execute(pr.compile_six_ring(2), enumerate_all=True)
         line, _ = pr.target_graph("linear", 2, 6)
         _, ring_order = pr.target_graph("six-ring", 2)
-        rep = pr.verify_against_target(trace, line, ring_order, depth=1)
+        rep = pr.verify_against_target(trace, line, ring_order)
         assert not rep.passed
 
     def test_dropping_closing_cz_yields_the_line(self):
@@ -484,8 +486,10 @@ class TestTwoEmitterProtocols:
         trace = pr.execute(opened, enumerate_all=True)
         line, _ = pr.target_graph("linear", 2, 6)
         _, ring_order = pr.target_graph("six-ring", 2)
-        rep = pr.verify_against_target(trace, line, ring_order, depth=1)
+        rep = pr.verify_against_target(trace, line, ring_order)
         assert rep.passed
+        assert not any(any(br.correction.fourier_powers)
+                       for br in rep.branches)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_ladder_verifies(self, d):
@@ -506,10 +510,11 @@ class TestTwoEmitterProtocols:
     def test_ladder_d3_against_ladder_target(self):
         trace = pr.execute(pr.compile_ladder(3), enumerate_all=True)
         graph, order = pr.target_graph("ladder", 3)
-        rep = pr.verify_against_target(trace, graph, order, depth=1)
+        rep = pr.verify_against_target(trace, graph, order)
         assert rep.passed
         for br in rep.branches:
             assert br.max_deviation <= 1e-10
+            assert not any(br.correction.fourier_powers)
 
 
 class TestVerificationReports:
