@@ -30,8 +30,10 @@ class CavityParams:
 
     def __post_init__(self):
         for name in ("omega_c_ghz", "g_s_mhz", "q_i", "q_c"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
 
     def to_dict(self):
         return {"omega_c_ghz": self.omega_c_ghz, "g_s_mhz": self.g_s_mhz,

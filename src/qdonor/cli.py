@@ -178,6 +178,7 @@ def cmd_protocol(args):
 
 def cmd_fusion(args):
     seed = _seed(args)
+    fu.check_fusable_chain(args.chain_n)
     out = _out_dir(args)
     table = {str(d): fu.success_probability(d) for d in range(2, 9)}
     result = {
@@ -191,7 +192,6 @@ def cmd_fusion(args):
     simulate = args.d ** args.chain_n <= 2**20
     chain_ok = True
     if simulate:
-        # the target first: it names a chain too short to fuse
         target = fu.fused_chain_graph(args.chain_n, args.d)
         reg = gm.build_graph_state(gm.make_linear(args.chain_n, args.d))
         outcome = fu.fuse_chain_ends(reg, seed=seed)

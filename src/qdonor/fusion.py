@@ -137,11 +137,16 @@ def project_pair(reg, i, j, a, b):
     return prob, sv._without_axes(reg, amps / math.sqrt(prob), (i, j))
 
 
+def check_fusable_chain(n):
+    """Fusing the ends of an n-chain needs two vertices left between them."""
+    if n < 4:
+        raise ValueError("need a chain of at least 4 to fuse the ends")
+
+
 def fused_chain_graph(n, d):
     """Target after fusing the ends of an n-chain: the middle n-2 vertices
     with one extra unit of weight joining the old ends' neighbours."""
-    if n < 4:
-        raise ValueError("need a chain of at least 4 to fuse the ends")
+    check_fusable_chain(n)
     m = np.zeros((n - 2, n - 2), dtype=int)
     for k in range(n - 3):
         m[k, k + 1] = m[k + 1, k] = 1

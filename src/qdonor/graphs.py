@@ -9,8 +9,6 @@ deterministic local-correction search.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -135,54 +133,65 @@ def _require_vertex_register(reg, g):
             f"d={g.d} graph")
 
 
-def _dressed_stabilizer(reg, m, v, fvec):
-    """The amplitudes of F^-f S_v F^f |psi>, as a Pauli product on N[v].
+def _stabilizer_factors(m, v):
+    """S_v = X_v prod_w Z_w^{A_vw} as ((w, kind, power), ...) over N[v],
+    vertices ascending."""
+    return tuple((w, "X", 1) if w == v else (w, "Z", int(m[v, w]))
+                 for w in range(m.shape[0]) if w == v or m[v, w])
+
+
+# F^-f P^p F^f = Q^(s p) as (Q, s), for P in {X, Z} and f = 0..3
+_F_CONJUGATES = {"X": (("X", 1), ("Z", -1), ("X", -1), ("Z", 1)),
+                 "Z": (("Z", 1), ("X", 1), ("Z", -1), ("X", -1))}
+
+
+def _conjugate(factors, fvec, d):
+    """The factors of F^-f S F^f, powers reduced mod d.
 
     With F|j> = sum_k omega^{jk} |k> / sqrt(d), F^dag X F = Z^-1 and
     F^dag Z F = X, so each F power on w turns X^a into Z^-a and Z^b into
-    X^b, with period 4.  S_v carries a single Pauli power on each vertex of
-    N[v], so the conjugated product is again one power per vertex: one roll
-    over the X axes, then the Z phases in increasing axis order.  No gate
-    runs; at f = 0 this is S_v |psi> itself.
+    X^b, with period 4; a Pauli product stays one power per vertex.
     """
-    x_axes, x_shifts, z_powers = [], [], []
-    for w in range(m.shape[0]):
-        if w != v and not m[v, w]:
-            continue
-        kind, p = ("X", 1) if w == v else ("Z", int(m[v, w]))
-        for _ in range(fvec[w] % 4):
-            kind, p = ("Z", -p) if kind == "X" else ("X", p)
+    out = []
+    for w, kind, p in factors:
+        kind, sign = _F_CONJUGATES[kind][fvec[w] % 4]
+        out.append((w, kind, sign * p % d))
+    return tuple(out)
+
+
+def _pauli_product(reg, factors):
+    """The amplitudes of a Pauli product applied to ``reg``: the X factors
+    roll their axes, then the Z phases multiply in, vertices ascending.
+    No gate runs, and a rolled result keeps ``reg``'s memory layout."""
+    out = reg.amps
+    for w, kind, p in factors:
         if kind == "X":
-            x_axes.append(w)
-            x_shifts.append(p)
-        else:
-            z_powers.append((w, p))
-    out = (np.roll(reg.amps, x_shifts, axis=x_axes) if x_axes
-           else reg.amps.copy())
-    for w, p in z_powers:
-        out *= sv._z_phases(reg, w, p)
+            out = sv._roll(out, w, p)
+    if out is reg.amps:
+        out = out.copy()
+    for w, kind, p in factors:
+        if kind == "Z":
+            out *= sv._z_phases(reg, w, p)
     return out
 
 
 def stabilizer_apply(reg, g, v):
     """S_v |psi> with S_v = X_v prod_w Z_w^{A_vw}."""
     _require_vertex_register(reg, g)
-    out = _dressed_stabilizer(reg, g.matrix(), v, (0,) * g.n)
+    out = _pauli_product(reg, _stabilizer_factors(g.matrix(), v))
     return sv.Register(reg.radices, out, reg.labels, reg.cap)
 
 
-def _dressed_expectation(reg, m, v, fvec):
-    """<psi| F^-f S_v F^f |psi>; at f = 0 exactly ``stabilizer_apply`` and
-    ``overlap``."""
-    return complex(np.vdot(reg.amps, _dressed_stabilizer(reg, m, v, fvec)))
+def _expectation(reg, factors):
+    """<psi| P |psi> for the Pauli product P."""
+    return complex(np.vdot(reg.amps, _pauli_product(reg, factors)))
 
 
 def stabilizer_expectations(reg, g):
     """<psi|S_v|psi> for every vertex; unit modulus iff graph-basis state."""
     _require_vertex_register(reg, g)
     m = g.matrix()
-    zeros = (0,) * g.n
-    return [_dressed_expectation(reg, m, v, zeros) for v in range(g.n)]
+    return [_expectation(reg, _stabilizer_factors(m, v)) for v in range(g.n)]
 
 
 @dataclass(frozen=True)
@@ -207,11 +216,11 @@ class StabilizerReport:
 def stabilizer_verify(reg, g):
     """Per-vertex deviation ||S_v psi - psi||_2; reported, never thrown."""
     _require_vertex_register(reg, g)
-    devs = []
-    for v in range(g.n):
-        diff = stabilizer_apply(reg, g, v).amps - reg.amps
-        devs.append(float(np.linalg.norm(diff)))
-    return StabilizerReport(tuple(devs))
+    m = g.matrix()
+    return StabilizerReport(tuple(
+        float(np.linalg.norm(_pauli_product(reg, _stabilizer_factors(m, v))
+                             - reg.amps))
+        for v in range(g.n)))
 
 
 # -- local corrections ----------------------------------------------------
@@ -269,28 +278,6 @@ def apply_correction(reg, corr):
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _fourier_vectors(n):
-    """F-power assignments ordered sparse-first, then lexicographically.
-
-    Cached: at n=6 the sort takes about 7 ms, half of a depth-2 search that
-    exhausts all 4096 vectors (about 14 ms) and several times one that
-    exits early (about 2.5 ms).
-    """
-    return tuple(sorted(itertools.product(range(4), repeat=n),
-                        key=lambda v: (sum(1 for x in v if x), v)))
-
-
-def _candidates(n, search_depth):
-    """The zero vector, then at depth 2 every other Fourier-power vector.
-
-    Lazy: the 4^n vectors are only built once the zero vector has failed.
-    """
-    yield (0,) * n
-    if search_depth == 2:
-        yield from itertools.islice(_fourier_vectors(n), 1, None)
-
-
 def _z_power(mu, d):
     """The power k with <S_v> = omega^k, or None unless |<S_v>| = 1 and its
     phase is a multiple of 2 pi / d (both to 1e-6)."""
@@ -312,38 +299,82 @@ def local_correction_search(reg, g, search_depth=1):
     verifies wins; it carries the report of that verification.  Returns
     None when nothing is found.
 
-    <S_v> depends only on the powers on v's closed neighbourhood N[v], so
-    its Z power (or failure) is cached per (v, powers on N[v]): the zero
-    vector's come from one ``stabilizer_expectations`` pass, the others
-    from the F-conjugated Pauli product on N[v], with no gate run.  Vertices
-    are read smallest neighbourhood first, and a candidate is dropped at its
-    first failing vertex; only a survivor is dressed, to be verified.
+    The candidates are not walked but solved for.  <S_v> on F^f |psi> is
+    <psi| F^-f S_v F^f |psi>, a Pauli product on N[v], so it depends only on
+    the powers on N[v]; its Z power (or failure) is cached per conjugated
+    product, from one ``stabilizer_expectations`` pass at f = 0 and the
+    Pauli-product kernel elsewhere, with no gate run.  For k = 0, 1, ..., n
+    nonzero powers (only k = 0 at depth 1), a depth-first search sets the
+    powers of vertices 0..n-1 in turn, each 0..3 ascending, and checks
+    every vertex v whose neighbourhood closes there (max N[v] is the vertex
+    just set); a failing vertex prunes the whole subtree.  Only a leaf is
+    dressed, to be verified.  Within one k this depth-first order is the
+    lexicographic order, so the first leaf that verifies is the candidate
+    the sparse-first walk would have found.
+
+    Limits: the vertex order must stay index order, or the winner can
+    differ from that walk's.  How much is pruned depends on how early each
+    neighbourhood closes: a ring's closing vertex is checked only at the
+    last position, and a dense target such as K_n, whose neighbourhoods
+    all close there, still costs 4^n candidates.
     """
     _require_vertex_register(reg, g)
     if search_depth not in (1, 2):
         raise ValueError("search_depth must be 1 or 2")
+    n, d = g.n, g.d
     m = g.matrix()
-    hoods = [tuple(w for w in range(g.n) if w == v or m[v, w])
-             for v in range(g.n)]
-    order = sorted(range(g.n), key=lambda v: len(hoods[v]))
-    zeros = (0,) * g.n
-    powers = {(v, (0,) * len(hoods[v])): _z_power(mu, g.d)
-              for v, mu in enumerate(stabilizer_expectations(reg, g))}
-    for fvec in _candidates(g.n, search_depth):
-        z = [0] * g.n
-        for v in order:
-            key = (v, tuple(fvec[w] for w in hoods[v]))
+    factors = [_stabilizer_factors(m, v) for v in range(n)]
+    closes = [[] for _ in range(n)]
+    for v, fs in enumerate(factors):
+        closes[fs[-1][0]].append(v)
+    powers = {fs: _z_power(mu, d)
+              for fs, mu in zip(factors, stabilizer_expectations(reg, g))}
+    zeros = (0,) * n
+    fvec, z = [0] * n, [0] * n
+
+    def screened(p):
+        """Z powers of the vertices closing at p; False once one fails."""
+        for v in closes[p]:
+            key = _conjugate(factors[v], fvec, d)
             if key not in powers:
-                powers[key] = _z_power(
-                    _dressed_expectation(reg, m, v, fvec), g.d)
+                powers[key] = _z_power(_expectation(reg, key), d)
             z[v] = powers[key]
             if z[v] is None:
-                break
-        else:
-            corr = CorrectionSet(zeros, tuple(z), fvec)
-            rep = stabilizer_verify(apply_correction(reg, corr), g)
-            if rep.passed:
-                return replace(corr, report=rep)
+                return False
+        return True
+
+    def verified():
+        corr = CorrectionSet(zeros, tuple(z), tuple(fvec))
+        rep = stabilizer_verify(apply_correction(reg, corr), g)
+        return replace(corr, report=rep) if rep.passed else None
+
+    for k in range(n + 1 if search_depth == 2 else 1):
+        found = _depth_first(fvec, 0, k, screened, verified)
+        if found is not None:
+            return found
+    return None
+
+
+def _depth_first(fvec, p, k, screened, leaf):
+    """The first non-None ``leaf()`` over the powers 0..3 on ``fvec[p:]``
+    with exactly k nonzero, in lexicographic order; a subtree is skipped as
+    soon as ``screened(p)`` fails.
+
+    A module function, not a closure that calls itself: that would be a
+    reference cycle, and each search's register would then stay alive until
+    the garbage collector ran.
+    """
+    if p == len(fvec):
+        return leaf()
+    for f in range(4) if k else (0,):
+        if f == 0 and k == len(fvec) - p:
+            continue
+        fvec[p] = f
+        if screened(p):
+            found = _depth_first(fvec, p + 1, k - (f != 0), screened, leaf)
+            if found is not None:
+                return found
+    fvec[p] = 0
     return None
 
 

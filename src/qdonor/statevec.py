@@ -223,13 +223,50 @@ def pauli_z_matrix(d, power=1):
         np.complex128)
 
 
+@functools.cache
+def _shift_index(d, shift):
+    """Source levels of X^shift on a d-level axis, (k - shift) mod d for
+    each k; built once per (d, shift), read-only."""
+    idx = (np.arange(d) - shift) % d
+    idx.setflags(write=False)
+    return idx
+
+
+@functools.cache
+def _z_diagonal(d, power):
+    """The diagonal of Z^power, power in [0, d); built once, read-only."""
+    phases = np.exp(2j * np.pi * power * np.arange(d) / d)
+    phases.setflags(write=False)
+    return phases
+
+
+def _roll(amps, axis, shift):
+    """``np.roll(amps, shift, axis)``, bit for bit and in the input's memory
+    layout, as a gather through the cached shift index.
+
+    ``take`` fills an ``out`` that is not C-ordered through a temporary copy,
+    several times slower than the gather itself, so on a transposed register
+    it runs on the axis permutation that makes ``out`` C-ordered; with
+    ``mode="raise"`` it would buffer ``out`` every time.
+    """
+    d = amps.shape[axis]
+    out = np.empty_like(amps)
+    src, dst = amps, out
+    if not out.flags.c_contiguous:
+        order = sorted(range(amps.ndim), key=lambda ax: -out.strides[ax])
+        src, dst = amps.transpose(order), out.transpose(order)
+        axis = order.index(axis)
+    np.take(src, _shift_index(d, int(shift) % d), axis=axis, out=dst,
+            mode="wrap")
+    return out
+
+
 def _z_phases(reg, subsystem, power):
     """The diagonal of Z^p on one subsystem, shaped to broadcast on reg."""
     d = reg.radices[subsystem]
-    phases = np.exp(2j * np.pi * (int(power) % d) * np.arange(d) / d)
     shape = [1] * reg.n_subsystems
     shape[subsystem] = d
-    return phases.reshape(shape)
+    return _z_diagonal(d, int(power) % d).reshape(shape)
 
 
 def apply_pauli_power(reg, subsystem, kind, power):
@@ -239,7 +276,7 @@ def apply_pauli_power(reg, subsystem, kind, power):
     if kind == "X":
         if power == 0:
             return reg.copy()
-        rolled = np.roll(reg.amps, power, axis=subsystem)
+        rolled = _roll(reg.amps, subsystem, power)
         return Register(reg.radices, rolled, reg.labels, reg.cap)
     if kind == "Z":
         new = reg.amps * _z_phases(reg, subsystem, power)

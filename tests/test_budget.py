@@ -56,6 +56,14 @@ class TestLossSuccess:
         with pytest.raises(ValueError):
             bg.CavityParams(g_s_mhz=0.0)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                       float("-inf")])
+    @pytest.mark.parametrize("name", ["omega_c_ghz", "g_s_mhz", "q_i", "q_c"])
+    def test_non_finite_validation(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be positive and "
+                                             "finite"):
+            bg.CavityParams(**{name: value})
+
 
 class TestEmissionTime:
     def test_quoted_conversion(self):

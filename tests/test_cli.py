@@ -123,6 +123,17 @@ class TestFusionCommand:
     def test_d1_exits_2(self, tmp_path):
         assert run("fusion", "--d", "1", "--output", str(tmp_path)) == 2
 
+    @pytest.mark.parametrize("d,chain_n", [(1100, 2), (1100, 3), (2, 3)])
+    def test_short_chain_exits_2_at_any_d(self, tmp_path, capsys, d,
+                                          chain_n):
+        # at d=1100 the chain is too large to simulate, and the length was
+        # once checked only on the simulated path
+        assert run("fusion", "--d", str(d), "--chain-n", str(chain_n),
+                   "--output", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err == "error: need a chain of at least 4 to fuse the ends\n"
+        assert not (tmp_path / "fusion.json").exists()
+
 
 class TestCompareCommand:
     def test_ring6_d4(self, tmp_path):
@@ -138,6 +149,20 @@ class TestBudgetCommand:
         assert run("budget", "--output", str(tmp_path)) == 0
         rep = read_json(tmp_path / "budget.json")
         assert rep["loss"]["loss"] == pytest.approx(0.0189, abs=0.0005)
+
+    @pytest.mark.parametrize("arg,field", [
+        ("--qi=nan", "q_i"), ("--qi=inf", "q_i"), ("--qi=-inf", "q_i"),
+        ("--sweep=Qi=nan:1e6:lin:3", "q_i"),
+        ("--sweep=Qc=1e4:inf:lin:3", "q_c"),
+    ])
+    def test_non_finite_cavity_value_exits_2(self, tmp_path, capsys, arg,
+                                             field):
+        assert run("budget", arg, "--output", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert f"{field} must be positive and finite" in err
+        assert not any(tmp_path.iterdir())
 
     def test_sweep_endpoints_reproduce_example_rows(self, tmp_path):
         assert run("budget", "--sweep", "Qi=1e5:1e6:log10",

@@ -1,6 +1,8 @@
 """Graph construction, stabilizer verification, correction search."""
 
+import gc
 import itertools
+import weakref
 
 import numpy as np
 import pytest
@@ -242,13 +244,27 @@ class TestStabilizerVerify:
             gm.stabilizer_verify(sv.init_register([2, 2], (0, 0)), g)
 
 
+def rolled_stabilizer(amps, m, v):
+    """Reference S_v amplitudes, which the kernel's gather must equal bit
+    for bit: one np.roll of axis v, then the Z phases, axes ascending."""
+    d = amps.shape[v]
+    out = np.roll(amps, 1, axis=v)
+    for w in range(m.shape[0]):
+        if m[v, w]:
+            shape = [1] * amps.ndim
+            shape[w] = d
+            out *= np.exp(2j * np.pi * int(m[v, w]) * np.arange(d)
+                          / d).reshape(shape)
+    return out
+
+
 class TestDressedExpectation:
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_matches_dressed_register(self, data):
-        # the search's kernel reads <F^f psi| S_v |F^f psi> as a Pauli
-        # product; on any state, graph or not, it must match dressing the
-        # register with Fourier gates and applying S_v
+        # the search's kernel reads <F^f psi| S_v |F^f psi> as the Pauli
+        # product F^-f S_v F^f on psi; on any state, graph or not, it must
+        # match dressing the register with Fourier gates and applying S_v
         d = data.draw(st.integers(2, 6))
         n = data.draw(st.integers(2, 4 if d <= 4 else 3))
         m = np.zeros((n, n), dtype=int)
@@ -265,11 +281,13 @@ class TestDressedExpectation:
                                                             fvec))
         plain = gm.stabilizer_expectations(reg, g)
         for v in range(n):
-            mu = gm._dressed_expectation(reg, m, v, fvec)
+            factors = gm._stabilizer_factors(m, v)
+            mu = gm._expectation(reg, gm._conjugate(factors, fvec, d))
             want = sv.overlap(dressed, gm.stabilizer_apply(dressed, g, v))
             assert abs(mu - want) <= 1e-12
             # at f = 0 the kernel is the undressed expectation, bit for bit
-            at_zero = gm._dressed_expectation(reg, m, v, zeros)
+            assert gm._conjugate(factors, zeros, d) == factors
+            at_zero = gm._expectation(reg, factors)
             assert at_zero == plain[v]
             assert at_zero == sv.overlap(reg, gm.stabilizer_apply(reg, g, v))
             # S_v itself, bit for bit against an X roll then the Z phases
@@ -278,7 +296,42 @@ class TestDressedExpectation:
                 if m[v, w]:
                     built.amps *= sv._z_phases(built, w, int(m[v, w]))
             assert (gm.stabilizer_apply(reg, g, v).amps.tobytes()
-                    == built.amps.tobytes())
+                    == built.amps.tobytes()
+                    == rolled_stabilizer(reg.amps, m, v).tobytes())
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_verify_on_fourier_transposed_register(self, d):
+        # a Fourier gate leaves its axis outermost in memory; the gather
+        # must keep that layout, or norm() sums in another order
+        g = gm.make_ring(4, d)
+        reg = gm.build_graph_state(g)
+        reg = sv.apply_pauli_power(reg, 1, "Z", 1)
+        reg = sv.apply_fourier(reg, 2)
+        assert not reg.amps.flags.c_contiguous
+        m = g.matrix()
+        for v in range(g.n):
+            out = gm.stabilizer_apply(reg, g, v).amps
+            assert out.strides == reg.amps.strides
+            assert (out.tobytes()
+                    == rolled_stabilizer(reg.amps, m, v).tobytes())
+        want = tuple(float(np.linalg.norm(rolled_stabilizer(reg.amps, m, v)
+                                          - reg.amps))
+                     for v in range(g.n))
+        assert gm.stabilizer_verify(reg, g).deviations == want
+
+    @pytest.mark.parametrize("f", [0, 1])
+    def test_order_two_fourier_powers_share_a_key(self, f):
+        # F^2 = I at d = 2, so f and f + 2 conjugate S_v to one product
+        m = gm.make_ring(5, 2).matrix()
+        for v in range(5):
+            factors = gm._stabilizer_factors(m, v)
+            for w in range(5):
+                fvec = [0] * 5
+                fvec[w] = f
+                lifted = list(fvec)
+                lifted[w] = f + 2
+                assert (gm._conjugate(factors, fvec, 2)
+                        == gm._conjugate(factors, lifted, 2))
 
 
 class TestCorrectionSearch:
@@ -350,6 +403,43 @@ class TestCorrectionSearch:
             assert rep.passed
             # the attached report is that of the same corrected state
             assert corr.report.deviations == rep.deviations
+
+    @pytest.mark.parametrize("n,d,bound", [(12, 2, 64), (9, 3, 128)])
+    def test_exhausted_search_stays_local(self, monkeypatch, n, d, bound):
+        # a chain with its middle edge left out is a product across that
+        # cut, where the target is entangled: no local correction exists.
+        # The solve must say so after a few kernel calls, where a walk over
+        # all 4^n Fourier-power vectors would need thousands
+        g = gm.make_linear(n, d)
+        m = g.matrix()
+        a = n // 2 - 1
+        m[a, a + 1] = m[a + 1, a] = 0
+        reg = gm.build_graph_state(gm.GraphSpec.from_matrix(d, m))
+        kernel = gm._pauli_product
+        calls = []
+
+        def counted(reg, factors):
+            calls.append(factors)
+            return kernel(reg, factors)
+
+        monkeypatch.setattr(gm, "_pauli_product", counted)
+        assert gm.local_correction_search(reg, g, 2) is None
+        assert n <= len(calls) <= bound
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_search_frees_its_register_without_the_collector(self, depth):
+        # a search that kept a reference cycle would hold each branch's
+        # register until the cyclic collector ran, raising peak memory
+        g = gm.make_linear(3, 3)
+        dirty = sv.apply_fourier(gm.build_graph_state(g), 1)
+        probe = weakref.ref(dirty)
+        gc.disable()
+        try:
+            gm.local_correction_search(dirty, g, depth)
+            del dirty
+            assert probe() is None
+        finally:
+            gc.enable()
 
     def test_not_found_is_a_value(self):
         # a non-graph state: |000>
