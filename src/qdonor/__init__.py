@@ -8,7 +8,7 @@ bookkeeping, and cavity loss/timing budgets.
 __version__ = "0.1.0"
 
 from .statevec import (                                      # noqa: F401
-    Register, LevelSubset, MeasurementRecord, CapacityError,
+    Register, MeasurementRecord, CapacityError,
     init_register, apply_fourier, apply_pauli_power, apply_permutation,
     apply_conditional_flip, apply_cz_power,
     measure, enumerate_outcomes, bin_string, bin_index,
@@ -24,8 +24,8 @@ from .protocols import (                                     # noqa: F401
     execute, verify_against_target, verify_w_state, target_graph,
 )
 from .fusion import (                                        # noqa: F401
-    FusionSpec, FusionOutcome, success_probability, expected_attempts,
-    fuse_chain_ends, compare_schemes,
+    FusionOutcome, success_probability, ancilla_modes, fuse_chain_ends,
+    compare_schemes,
 )
 from .spins import (                                         # noqa: F401
     SpinParams, DoubleSpinParams, SpectrumResult, TransitionList,

@@ -249,21 +249,13 @@ def sb2_table() -> OperationTable:
 
 
 @dataclass(frozen=True)
-class BudgetStep:
-    kind: str
-    row: str | None
-    fidelity: float
-    duration_us: tuple
-
-
-@dataclass(frozen=True)
 class TimingReport:
     table_name: str
     duration_us: tuple            # (min, mid, max)
     fidelity: float
     coherence_ratios: dict
     flags: tuple
-    steps: tuple
+    n_steps: int
     notes: tuple = ()
 
     def to_dict(self):
@@ -275,27 +267,27 @@ class TimingReport:
             "fidelity": self.fidelity,
             "coherence_ratios": dict(self.coherence_ratios),
             "flags": list(self.flags),
-            "n_steps": len(self.steps),
+            "n_steps": self.n_steps,
             "notes": list(self.notes),
         }
 
 
 def _instruction_steps(ins, table, cavity):
-    """Charge one instruction the table row ``protocols.OPS`` names.
+    """Charge one instruction the table row ``protocols.OPS`` names, as a
+    list of (fidelity, (min, max) duration) steps.
 
     A table without that row raises KeyError.  Emission and idle are charged
     a duration, and a permutation one NMR step per level hop.
     """
     if ins.op == "emit":
         t_e = emission_time(cavity.g_s_mhz).raw_us
-        return [BudgetStep("emit", None, 1.0, (t_e, t_e))]
+        return [(1.0, (t_e, t_e))]
     if ins.op == "idle":
         dur = float(ins.duration or 0.0)
-        return [BudgetStep("idle", None, 1.0, (dur, dur))]
-    key = pr.OPS[ins.op].row
-    row = table.row(key)
+        return [(1.0, (dur, dur))]
+    row = table.row(pr.OPS[ins.op].row)
     hops = abs(ins.a - ins.b) if ins.op == "permute" else 1
-    return [BudgetStep(ins.op, key, _fid(row), row.duration_us)] * hops
+    return [(_fid(row), row.duration_us)] * hops
 
 
 def _fid(row):
@@ -319,14 +311,14 @@ def timing_fidelity_budget(program, table, cavity=None) -> TimingReport:
     for ins in instructions:
         if isinstance(ins, str):
             row = table.row(ins)
-            steps.append(BudgetStep(ins, ins, _fid(row), row.duration_us))
+            steps.append((_fid(row), row.duration_us))
         else:
             steps.extend(_instruction_steps(ins, table, cavity))
-    lo = sum(s.duration_us[0] for s in steps)
-    hi = sum(s.duration_us[1] for s in steps)
+    lo = sum(dur[0] for _, dur in steps)
+    hi = sum(dur[1] for _, dur in steps)
     fid = 1.0
-    for s in steps:
-        fid *= s.fidelity
+    for f, _ in steps:
+        fid *= f
     mid = 0.5 * (lo + hi)
     ratios = {}
     flags = []
@@ -337,7 +329,7 @@ def timing_fidelity_budget(program, table, cavity=None) -> TimingReport:
         if mid / t2 > 1.0:
             flags.append(f"duration exceeds {key} ({mid:.1f} us vs {t2} us)")
     return TimingReport(table.name, (lo, mid, hi), fid, ratios,
-                        tuple(flags), tuple(steps), table.notes)
+                        tuple(flags), len(steps), table.notes)
 
 
 # -- Monte Carlo photon loss -------------------------------------------------

@@ -21,25 +21,6 @@ from . import protocols as pr
 from . import statevec as sv
 
 
-@dataclass(frozen=True)
-class FusionSpec:
-    """Port bookkeeping for a d-dimensional type-II fusion."""
-
-    d: int
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("fusion needs d >= 2")
-
-    @property
-    def ports(self):
-        return 2
-
-    @property
-    def ancilla_modes(self):
-        return self.d * (self.d - 2)
-
-
 def success_probability(d):
     """2/(d(d+1)) for odd d, 2/d^2 for even d; 1/2 at d=2.
 
@@ -53,36 +34,18 @@ def success_probability(d):
     return 2.0 / d**2
 
 
-@dataclass(frozen=True)
-class AttemptStats:
-    """Geometric repeat-until-success statistics."""
-
-    p: float
-
-    def __post_init__(self):
-        if not 0 < self.p <= 1:
-            raise ValueError("probability must lie in (0, 1]")
-
-    @property
-    def mean(self):
-        return 1.0 / self.p
-
-    def tail(self, k):
-        """P(attempts > k)."""
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        return (1.0 - self.p) ** k
-
-
-def expected_attempts(p):
-    return AttemptStats(p)
+def ancilla_modes(d):
+    """Ancilla modes a d-dimensional type-II fusion attempt needs, d(d-2)."""
+    return d * (d - 2)
 
 
 def sample_attempts(p, trials, master_seed):
-    """Seeded geometric sampling; used to cross-check the closed form."""
+    """Seeded geometric sampling; used to cross-check the closed form 1/p."""
     if trials < 1:
         raise ValueError("need at least one trial")
-    stats = AttemptStats(p)
+    if not 0 < p <= 1:
+        raise ValueError("probability must lie in (0, 1]")
+    expected = 1.0 / p
     rng = np.random.default_rng(master_seed)
     draws = rng.geometric(p, size=int(trials))
     mean = float(draws.mean())
@@ -91,9 +54,9 @@ def sample_attempts(p, trials, master_seed):
         "p": p,
         "trials": int(trials),
         "empirical_mean": mean,
-        "expected_mean": stats.mean,
+        "expected_mean": expected,
         "std_error_of_mean": se,
-        "within_3_sigma": bool(abs(mean - stats.mean) <= 3 * se),
+        "within_3_sigma": bool(abs(mean - expected) <= 3 * se),
     }
 
 
@@ -234,7 +197,7 @@ def compare_schemes(d, target="ring6"):
     p = success_probability(d)      # checks d before the graph is built
     graph, _ = pr.target_graph(protocol, d)
     cavity = bg.CavityParams()
-    passes = expected_attempts(p**n_fusions)
+    passes = 1.0 / p**n_fusions     # mean of the geometric pass count
 
     chain_n = graph.n + 2 * n_fusions
     chain_budget = bg.timing_fidelity_budget(
@@ -252,13 +215,13 @@ def compare_schemes(d, target="ring6"):
         "p_success": p,
         "p_success_note": "even-d formula 2/d^2 is quoted approximate"
         if d % 2 == 0 else "odd-d formula 2/(d(d+1))",
-        "expected_attempts": passes.mean,
+        "expected_attempts": passes,
         "photons_per_attempt": chain_n,
-        "photons_destroyed_mean": 2 * n_fusions * passes.mean,
-        "expected_photons": chain_n * passes.mean,
-        "ancilla_modes_per_fusion": FusionSpec(d).ancilla_modes,
+        "photons_destroyed_mean": 2 * n_fusions * passes,
+        "expected_photons": chain_n * passes,
+        "ancilla_modes_per_fusion": ancilla_modes(d),
         "fusion_permitted": True,
-        "time_mean_us": chain_budget.duration_us[1] * passes.mean,
+        "time_mean_us": chain_budget.duration_us[1] * passes,
         "chain_budget": chain_budget.to_dict(),
     }
     scheme_b = {

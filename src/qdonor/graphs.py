@@ -114,8 +114,7 @@ def make_ladder(rows, cols, d):
 
 def build_graph_state(g):
     """Apply F_d to every |0> then CZ powers per the adjacency."""
-    reg = sv.init_register((g.d,) * g.n, (0,) * g.n,
-                           labels=(sv.ROLE_PHOTON,) * g.n)
+    reg = sv.init_register((g.d,) * g.n, (0,) * g.n)
     for v in range(g.n):
         reg = sv.apply_fourier(reg, v)
     for i, j, w in g.edges():
@@ -179,7 +178,7 @@ def stabilizer_apply(reg, g, v):
     """S_v |psi> with S_v = X_v prod_w Z_w^{A_vw}."""
     _require_vertex_register(reg, g)
     out = _pauli_product(reg, _stabilizer_factors(g.matrix(), v))
-    return sv.Register(reg.radices, out, reg.labels, reg.cap)
+    return sv.Register(reg.radices, out, reg.cap)
 
 
 def _expectation(reg, factors):

@@ -258,13 +258,9 @@ def _emission_block(emitter, photon, d):
 
 
 def compile_single_photon(d):
-    """One photon spread coherently over d time-bins, then donor readout."""
-    _check_dim(d)
-    ins = [fourier(0)]
-    ins += _emission_block(0, 0, d)
-    ins.append(fourier(0))
-    ins.append(measure_donor(0))
-    return Program(d, 1, 1, tuple(ins))
+    """One photon spread coherently over d time-bins, then donor readout:
+    the one-photon linear program."""
+    return compile_linear(d, 1)
 
 
 def compile_linear(d, n):
@@ -412,8 +408,7 @@ def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
     """
     d, ne = program.d, program.n_emitters
     reg = sv.init_register(
-        (d,) * ne + (2,), (0,) * ne + (sv.ELECTRON_DOWN,),
-        labels=(sv.ROLE_DONOR,) * ne + (sv.ROLE_ELECTRON,), cap=cap)
+        (d,) * ne + (2,), (0,) * ne + (sv.ELECTRON_DOWN,), cap=cap)
     electron = ne
     photon_axis = {}
     checksums = []
@@ -425,9 +420,7 @@ def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
             # in memory order: keep their layout so probabilities match
             reg = reg.copy()
         if ins.op == "fourier":
-            subset = (ins.emitter if ins.levels is None
-                      else sv.LevelSubset(ins.emitter, ins.levels))
-            reg = sv.apply_fourier(reg, subset)
+            reg = sv.apply_fourier(reg, ins.emitter, ins.levels)
         elif ins.op == "permute":
             sv._permute_levels(reg.amps, ins.emitter, ins.a, ins.b)
         elif ins.op == "edsr":
@@ -573,8 +566,7 @@ def verify_w_state(trace):
     if trace.branches is None:
         raise ValueError("needs an outcome-enumerated trace")
     d = trace.program.d
-    target = sv.Register((d,), np.full(d, 1 / np.sqrt(d)),
-                         labels=(sv.ROLE_PHOTON,))
+    target = sv.Register((d,), np.full(d, 1 / np.sqrt(d)))
     rows = []
     ok = True
     for br in trace.branches:

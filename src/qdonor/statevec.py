@@ -4,6 +4,8 @@ A :class:`Register` holds the joint state of a donor nucleus (treated as a
 d-level qudit), the bound electron, and any photonic time-bin qudits emitted
 so far.  Amplitudes are stored as a complex ndarray with one axis per
 subsystem, so gates reduce to axis-wise tensor contractions and slicing.
+The axes carry no role labels: the subsystem order is the layout, and each
+gate takes the axes it acts on.
 
 Conventions
 -----------
@@ -31,34 +33,12 @@ NORM_ATOL = 1e-10
 # an outcome at or below this probability is treated as impossible
 ZERO_PROBABILITY = 1e-14
 
-ROLE_DONOR = "donor-nucleus"
-ROLE_ELECTRON = "electron"
-ROLE_PHOTON = "photon"
-
 ELECTRON_DOWN = 0
 ELECTRON_UP = 1
 
 
 class CapacityError(RuntimeError):
     """Raised when an operation would exceed the amplitude cap."""
-
-
-@dataclass(frozen=True)
-class LevelSubset:
-    """An ordered choice of levels within one subsystem.
-
-    ``levels[j]`` is the physical level playing the role of qudit level j,
-    e.g. nuclear states 7/2, 5/2, 3/2 encoded as (0, 1, 2).
-    """
-
-    subsystem: int
-    levels: tuple[int, ...]
-
-    def __post_init__(self):
-        if len(set(self.levels)) != len(self.levels):
-            raise ValueError(f"levels must be distinct, got {self.levels}")
-        if len(self.levels) < 2:
-            raise ValueError("a level subset needs at least two levels")
 
 
 @dataclass(frozen=True)
@@ -71,7 +51,7 @@ class MeasurementRecord:
 class Register:
     """Mixed-radix state vector over an ordered list of subsystems."""
 
-    def __init__(self, radices, amps, labels=None, cap=DEFAULT_AMPLITUDE_CAP):
+    def __init__(self, radices, amps, cap=DEFAULT_AMPLITUDE_CAP):
         self.radices = tuple(int(r) for r in radices)
         if any(r < 2 for r in self.radices):
             raise ValueError(f"every radix must be >= 2, got {self.radices}")
@@ -81,11 +61,6 @@ class Register:
                 f"register of {size} amplitudes exceeds cap {cap}")
         self.cap = cap
         self.amps = np.asarray(amps, dtype=np.complex128).reshape(self.radices)
-        if labels is None:
-            labels = (ROLE_DONOR,) * len(self.radices)
-        self.labels = tuple(labels)
-        if len(self.labels) != len(self.radices):
-            raise ValueError("labels and radices must have equal length")
 
     @property
     def n_subsystems(self):
@@ -99,7 +74,7 @@ class Register:
         return float(np.linalg.norm(self.amps))
 
     def copy(self):
-        return Register(self.radices, self.amps.copy(), self.labels, self.cap)
+        return Register(self.radices, self.amps.copy(), self.cap)
 
     def check_norm(self):
         n = self.norm()
@@ -107,22 +82,12 @@ class Register:
             raise ValueError(f"state norm drifted to {n}")
         return self
 
-    def subsystems_with_role(self, role):
-        return [i for i, lab in enumerate(self.labels) if lab == role]
-
-    def electron_index(self):
-        idx = self.subsystems_with_role(ROLE_ELECTRON)
-        if len(idx) != 1:
-            raise ValueError(f"expected exactly one electron, found {idx}")
-        return idx[0]
-
     # -- serialization --------------------------------------------------
 
     def to_dict(self):
         flat = self.amps.reshape(-1)
         return {
             "radices": list(self.radices),
-            "labels": list(self.labels),
             "amplitudes": [[float(a.real), float(a.imag)] for a in flat],
         }
 
@@ -132,17 +97,17 @@ class Register:
     @classmethod
     def from_dict(cls, d, cap=DEFAULT_AMPLITUDE_CAP):
         amps = np.array([complex(re, im) for re, im in d["amplitudes"]])
-        return cls(d["radices"], amps, tuple(d["labels"]), cap)
+        return cls(d["radices"], amps, cap)
 
     @classmethod
     def from_json(cls, s, cap=DEFAULT_AMPLITUDE_CAP):
         return cls.from_dict(json.loads(s), cap)
 
     def __repr__(self):
-        return f"Register(radices={self.radices}, labels={self.labels})"
+        return f"Register(radices={self.radices})"
 
 
-def init_register(radices, basis_index, labels=None, cap=DEFAULT_AMPLITUDE_CAP):
+def init_register(radices, basis_index, cap=DEFAULT_AMPLITUDE_CAP):
     """Unit amplitude on one product basis state."""
     radices = tuple(int(r) for r in radices)
     basis_index = tuple(int(k) for k in basis_index)
@@ -156,7 +121,7 @@ def init_register(radices, basis_index, labels=None, cap=DEFAULT_AMPLITUDE_CAP):
         raise CapacityError(f"register of {size} amplitudes exceeds cap {cap}")
     amps = np.zeros(radices, dtype=np.complex128)
     amps[basis_index] = 1.0
-    return Register(radices, amps, labels, cap)
+    return Register(radices, amps, cap)
 
 
 # -- single-subsystem unitaries -----------------------------------------
@@ -170,7 +135,7 @@ def _apply_matrix(reg, subsystem, matrix):
         raise ValueError(f"matrix shape {matrix.shape} does not fit radix {r}")
     new = np.tensordot(matrix, reg.amps, axes=([1], [subsystem]))
     new = np.moveaxis(new, 0, subsystem)
-    return Register(reg.radices, new, reg.labels, reg.cap)
+    return Register(reg.radices, new, reg.cap)
 
 
 @functools.cache
@@ -190,22 +155,24 @@ def subset_matrix(radix, levels, block):
     return m
 
 
-def apply_fourier(reg, subset):
+def apply_fourier(reg, subsystem, levels=None):
     """Qudit Fourier gate F_d on the chosen levels, identity elsewhere.
 
-    ``subset`` is a :class:`LevelSubset`; pass an int to mean "every level of
-    that subsystem".
+    ``levels[j]`` is the physical level playing the role of qudit level j,
+    e.g. nuclear states 7/2, 5/2, 3/2 encoded as (0, 1, 2); by default every
+    level of the subsystem.
     """
-    if isinstance(subset, int):
-        sub = subset
-        levels = tuple(range(reg.radices[sub]))
-    else:
-        sub, levels = subset.subsystem, subset.levels
+    radix = reg.radices[subsystem]
+    levels = tuple(range(radix)) if levels is None else tuple(levels)
+    if len(set(levels)) != len(levels):
+        raise ValueError(f"levels must be distinct, got {levels}")
+    if len(levels) < 2:
+        raise ValueError("a level subset needs at least two levels")
     for lv in levels:
-        if not 0 <= lv < reg.radices[sub]:
+        if not 0 <= lv < radix:
             raise IndexError(f"level {lv} out of range")
     block = fourier_matrix(len(levels))
-    return _apply_matrix(reg, sub, subset_matrix(reg.radices[sub], levels, block))
+    return _apply_matrix(reg, subsystem, subset_matrix(radix, levels, block))
 
 
 def pauli_x_matrix(d, power=1):
@@ -277,10 +244,10 @@ def apply_pauli_power(reg, subsystem, kind, power):
         if power == 0:
             return reg.copy()
         rolled = _roll(reg.amps, subsystem, power)
-        return Register(reg.radices, rolled, reg.labels, reg.cap)
+        return Register(reg.radices, rolled, reg.cap)
     if kind == "Z":
         new = reg.amps * _z_phases(reg, subsystem, power)
-        return Register(reg.radices, new, reg.labels, reg.cap)
+        return Register(reg.radices, new, reg.cap)
     raise ValueError(f"unknown Pauli kind {kind!r} (expected 'X' or 'Z')")
 
 
@@ -353,8 +320,7 @@ def add_photon(reg, d):
     new_shape = reg.radices + (d + 1,)
     new = np.zeros(new_shape, dtype=np.complex128)
     new[..., d] = reg.amps
-    return Register(new_shape, new, reg.labels + (ROLE_PHOTON,), reg.cap), \
-        reg.n_subsystems
+    return Register(new_shape, new, reg.cap), reg.n_subsystems
 
 
 def photon_vacuum_level(reg, photon):
@@ -364,6 +330,8 @@ def photon_vacuum_level(reg, photon):
 
 def _emit_into(amps, photon, bin, electron):
     """In-place kernel of :func:`apply_emission`."""
+    if amps.shape[electron] != 2:
+        raise ValueError("emitting electron must have radix 2")
     vac = amps.shape[photon] - 1
     if not 0 <= bin < vac:
         raise IndexError(f"bin {bin} out of range (photon has {vac} bins)")
@@ -379,14 +347,13 @@ def _emit_into(amps, photon, bin, electron):
     amps[src] = 0.0
 
 
-def apply_emission(reg, photon, bin, electron=None):
+def apply_emission(reg, photon, bin, electron):
     """Cavity exchange: |up, vac> -> |down, photon in bin>, spin-down idle.
 
-    Models the resonant spin-cavity energy swap as an instantaneous map; the
-    emission duration is charged in the timing budget instead.
+    ``electron`` is the axis of the emitting electron, which must have radix
+    2.  Models the resonant spin-cavity energy swap as an instantaneous map;
+    the emission duration is charged in the timing budget instead.
     """
-    if electron is None:
-        electron = reg.electron_index()
     new = reg.copy()
     _emit_into(new.amps, photon, bin, electron)
     return new
@@ -402,7 +369,7 @@ def finalize_photon(reg, photon):
     new = reg.amps[_at(reg.n_subsystems, (photon, slice(0, vac)))].copy()
     radices = list(reg.radices)
     radices[photon] = vac
-    return Register(radices, new, reg.labels, reg.cap)
+    return Register(radices, new, reg.cap)
 
 
 # -- two-subsystem gates --------------------------------------------------
@@ -432,7 +399,7 @@ def _cz_phase(amps, i, j, weight):
 def apply_cz_power(reg, i, j, weight):
     """Diagonal gate omega^{w k l} between equal-dimension subsystems."""
     # a copy in the input's memory layout, as the elementwise product gives
-    new = Register(reg.radices, reg.amps.copy(order="K"), reg.labels, reg.cap)
+    new = Register(reg.radices, reg.amps.copy(order="K"), reg.cap)
     _cz_phase(new.amps, i, j, weight)
     return new
 
@@ -449,8 +416,7 @@ def outcome_probabilities(reg, subsystem):
 def _without_axes(reg, amps, axes):
     """Register of ``amps``, shaped like ``reg`` without the given axes."""
     keep = [ax for ax in range(reg.n_subsystems) if ax not in axes]
-    return Register(tuple(reg.radices[ax] for ax in keep), amps,
-                    tuple(reg.labels[ax] for ax in keep), reg.cap)
+    return Register(tuple(reg.radices[ax] for ax in keep), amps, reg.cap)
 
 
 def _project(reg, subsystem, outcome, p):
@@ -460,13 +426,8 @@ def _project(reg, subsystem, outcome, p):
     return _without_axes(reg, amps, (subsystem,))
 
 
-def collapse(reg, subsystem, outcome):
-    """Project onto one outcome; the measured subsystem is consumed.
-
-    Returns (record, renormalised register without the measured axis);
-    errors on zero probability.
-    """
-    probs = outcome_probabilities(reg, subsystem)
+def _collapse(reg, subsystem, outcome, probs):
+    """:func:`collapse` with the outcome probabilities already computed."""
     p = float(probs[outcome])
     if p <= ZERO_PROBABILITY:
         raise ValueError(
@@ -475,12 +436,21 @@ def collapse(reg, subsystem, outcome):
             _project(reg, subsystem, outcome, p))
 
 
+def collapse(reg, subsystem, outcome):
+    """Project onto one outcome; the measured subsystem is consumed.
+
+    Returns (record, renormalised register without the measured axis);
+    errors on zero probability.
+    """
+    return _collapse(reg, subsystem, outcome,
+                     outcome_probabilities(reg, subsystem))
+
+
 def measure(reg, subsystem, rng):
     """Born-rule sample with a seeded generator; returns (record, collapsed)."""
     probs = outcome_probabilities(reg, subsystem)
-    probs = probs / probs.sum()
-    outcome = int(rng.choice(len(probs), p=probs))
-    return collapse(reg, subsystem, outcome)
+    outcome = int(rng.choice(len(probs), p=probs / probs.sum()))
+    return _collapse(reg, subsystem, outcome, probs)
 
 
 def enumerate_outcomes(reg, subsystem):
@@ -509,8 +479,7 @@ def reorder_subsystems(reg, order):
     if sorted(order) != list(range(reg.n_subsystems)):
         raise ValueError(f"not a permutation: {order}")
     new = np.transpose(reg.amps, order)
-    return Register(tuple(reg.radices[i] for i in order), new,
-                    tuple(reg.labels[i] for i in order), reg.cap)
+    return Register(tuple(reg.radices[i] for i in order), new, reg.cap)
 
 
 def overlap(reg_a, reg_b):

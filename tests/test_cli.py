@@ -1,8 +1,12 @@
 """CLI contracts: outputs, exit codes, byte-level determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -133,6 +137,23 @@ class TestFusionCommand:
         err = capsys.readouterr().err
         assert err == "error: need a chain of at least 4 to fuse the ends\n"
         assert not (tmp_path / "fusion.json").exists()
+
+    def test_long_chain_is_reported_unsimulated_without_its_power(
+            self, tmp_path):
+        # 3**30000000 has over 14 million digits; forming it takes seconds
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = {**os.environ,
+               "PYTHONPATH": src if not path else src + os.pathsep + path}
+        proc = subprocess.run(
+            [sys.executable, "-m", "qdonor.cli", "fusion", "--d", "3",
+             "--chain-n", "30000000", "--trials", "10",
+             "--output", str(tmp_path)],
+            capture_output=True, text=True, timeout=5, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "chain fusion not simulated" in proc.stdout
+        chain = read_json(tmp_path / "fusion.json")["chain_fusion"]
+        assert chain["simulated"] is False
 
 
 class TestCompareCommand:
@@ -366,3 +387,24 @@ class TestDeterminism:
         assert da.keys() == db.keys()
         for name in da:
             assert da[name] == db[name], f"{name} differs between reruns"
+
+    def test_scheme_outputs_are_pinned(self, tmp_path):
+        # one SHA-256 over fusion.json, compare.json of both targets and
+        # budget.json of a linear-protocol trace on both tables, at d=2, 3
+        h = hashlib.sha256()
+        for d in ("2", "3"):
+            runs = [("fusion", "--d", d, "--trials", "1000"),
+                    ("compare", "--d", d, "--target", "ring6"),
+                    ("compare", "--d", d, "--target", "ladder23")]
+            trace = tmp_path / f"trace{d}"
+            assert run("protocol", "run", "--protocol", "linear", "--d", d,
+                       "--output", str(trace)) == 0
+            runs += [("budget", "--program", str(trace / "trace.json"),
+                      "--table", table) for table in ("single", "sb2")]
+            for k, argv in enumerate(runs):
+                out = tmp_path / f"d{d}-{k}"
+                assert run(*argv, "--output", str(out)) == 0
+                for p in sorted(out.glob("*.json")):
+                    h.update(p.name.encode() + p.read_bytes())
+        assert h.hexdigest() == (
+            "aea895e154a865c341ca0f0e44f80ea0c2d5eb473d80defd987307a82ffb754e")

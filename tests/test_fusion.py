@@ -27,28 +27,25 @@ class TestSuccessProbability:
             fu.success_probability(1)
 
     def test_ancilla_mode_count(self):
-        assert fu.FusionSpec(2).ancilla_modes == 0
-        assert fu.FusionSpec(4).ancilla_modes == 8
-        assert fu.FusionSpec(3).ports == 2
+        assert fu.ancilla_modes(2) == 0
+        assert fu.ancilla_modes(3) == 3
+        assert fu.ancilla_modes(4) == 8
 
 
 class TestAttempts:
     def test_certain_success_means_one_attempt(self):
-        assert fu.expected_attempts(1.0).mean == 1.0
+        st = fu.sample_attempts(1.0, 100, master_seed=1)
+        assert st["expected_mean"] == 1.0
+        assert st["empirical_mean"] == 1.0
 
     def test_one_sixth_means_six(self):
-        assert fu.expected_attempts(1 / 6).mean == pytest.approx(6.0)
-
-    def test_tail_probabilities(self):
-        st = fu.expected_attempts(0.25)
-        assert st.tail(0) == 1.0
-        assert st.tail(2) == pytest.approx(0.75**2)
+        st = fu.sample_attempts(1 / 6, 100, master_seed=1)
+        assert st["expected_mean"] == pytest.approx(6.0)
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            fu.expected_attempts(0.0)
-        with pytest.raises(ValueError):
-            fu.expected_attempts(1.5)
+        for p in (0.0, -0.5, 1.5):
+            with pytest.raises(ValueError, match="probability"):
+                fu.sample_attempts(p, 100, master_seed=1)
 
     def test_monte_carlo_matches_closed_form(self):
         st = fu.sample_attempts(0.125, 10**5, master_seed=424242)

@@ -44,6 +44,10 @@ class TestCompilers:
         # fourier + d emission pairs + (d-1) permutes + fourier + measure
         assert len(prog.instructions) == 3 * d + 2
 
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_single_photon_is_the_one_photon_line(self, d):
+        assert pr.compile_single_photon(d) == pr.compile_linear(d, 1)
+
     def test_dimension_above_range_is_a_capacity_error(self):
         with pytest.raises(sv.CapacityError):
             pr.compile_single_photon(9)
@@ -234,6 +238,20 @@ class TestExecution:
         assert t1.checksums == t2.checksums
         assert t1.records == t2.records
 
+    def test_sampled_readout_computes_each_distribution_once(
+            self, monkeypatch):
+        calls = []
+        real = sv.outcome_probabilities
+
+        def counted(reg, subsystem):
+            calls.append(subsystem)
+            return real(reg, subsystem)
+
+        monkeypatch.setattr(sv, "outcome_probabilities", counted)
+        pr.execute(pr.compile_six_ring(2), seed=5)
+        # two donor measurements, then the electron removal
+        assert calls == [0, 0, 0]
+
     def test_checksums_cover_every_instruction(self):
         prog = pr.compile_single_photon(3)
         trace = pr.execute(prog, enumerate_all=True)
@@ -273,8 +291,7 @@ def reference_execute(program):
     Returns (checksums, final register, enumerated branches)."""
     d, ne = program.d, program.n_emitters
     reg = sv.init_register(
-        (d,) * ne + (2,), (0,) * ne + (sv.ELECTRON_DOWN,),
-        labels=(sv.ROLE_DONOR,) * ne + (sv.ROLE_ELECTRON,))
+        (d,) * ne + (2,), (0,) * ne + (sv.ELECTRON_DOWN,))
     electron, photon_axis, checksums, measures = ne, {}, [], []
 
     def checksum(reg):
@@ -285,9 +302,7 @@ def reference_execute(program):
 
     for ins in program.instructions:
         if ins.op == "fourier":
-            reg = sv.apply_fourier(reg, ins.emitter if ins.levels is None
-                                   else sv.LevelSubset(ins.emitter,
-                                                       ins.levels))
+            reg = sv.apply_fourier(reg, ins.emitter, ins.levels)
         elif ins.op == "permute":
             reg = sv.apply_permutation(reg, ins.emitter, ins.a, ins.b)
         elif ins.op == "edsr":

@@ -20,7 +20,7 @@ def edsr_then_emit(reg, photon, bin):
     ``edsr`` instruction followed by an ``emit``.  Subsystem 0 is the donor
     and 1 the electron."""
     return sv.apply_emission(sv.apply_conditional_flip(reg, (0, 0), 1),
-                             photon, bin)
+                             photon, bin, 1)
 
 
 def gate_matrix(apply_fn, radices, subsystem):
@@ -93,14 +93,22 @@ class TestFourier:
 
     def test_subset_acts_inside_larger_space(self):
         reg = sv.init_register([8], (0,))
-        out = sv.apply_fourier(reg, sv.LevelSubset(0, (0, 1, 2)))
+        out = sv.apply_fourier(reg, 0, (0, 1, 2))
         expect = np.zeros(8, dtype=complex)
         expect[:3] = 1 / np.sqrt(3)
         assert np.allclose(out.amps, expect)
 
     def test_rejects_duplicate_levels(self):
-        with pytest.raises(ValueError):
-            sv.LevelSubset(0, (1, 1))
+        with pytest.raises(ValueError, match="distinct"):
+            sv.apply_fourier(sv.init_register([3], (0,)), 0, (1, 1))
+
+    def test_rejects_a_single_level(self):
+        with pytest.raises(ValueError, match="at least two"):
+            sv.apply_fourier(sv.init_register([3], (0,)), 0, (1,))
+
+    def test_rejects_level_out_of_range(self):
+        with pytest.raises(IndexError):
+            sv.apply_fourier(sv.init_register([3], (0,)), 0, (0, 3))
 
 
 class TestPauliPowers:
@@ -146,8 +154,7 @@ class TestPermutation:
     def test_branch_exchange_moves_emission_readiness(self):
         # after one emission the permutation brings the unused level into
         # the emission slot while the emitted branch leaves it
-        reg = sv.init_register([2, 2], (0, 0),
-                               labels=(sv.ROLE_DONOR, sv.ROLE_ELECTRON))
+        reg = sv.init_register([2, 2], (0, 0))
         reg = sv.apply_fourier(reg, 0)
         reg, ph = sv.add_photon(reg, 2)
         reg = edsr_then_emit(reg, ph, 0)
@@ -168,8 +175,7 @@ class TestPermutation:
 
 class TestConditionalFlip:
     def test_flips_only_control_branch(self):
-        reg = sv.init_register([2, 2], (0, 0),
-                               labels=(sv.ROLE_DONOR, sv.ROLE_ELECTRON))
+        reg = sv.init_register([2, 2], (0, 0))
         reg = sv.apply_fourier(reg, 0)
         out = sv.apply_conditional_flip(reg, (0, 0), 1)
         expect = np.zeros((2, 2), dtype=complex)
@@ -197,8 +203,7 @@ class TestConditionalFlip:
 
 class TestEmission:
     def setup_method(self):
-        reg = sv.init_register([3, 2], (0, 0),
-                               labels=(sv.ROLE_DONOR, sv.ROLE_ELECTRON))
+        reg = sv.init_register([3, 2], (0, 0))
         self.psi1 = sv.apply_fourier(reg, 0)
 
     def test_first_cycle_populates_only_top_branch(self):
@@ -210,8 +215,7 @@ class TestEmission:
         assert abs(reg.amps[2, 0, vac]) == pytest.approx(1 / np.sqrt(3))
 
     def test_emission_on_absent_level_is_identity(self):
-        reg = sv.init_register([3, 2], (1, 0),
-                               labels=(sv.ROLE_DONOR, sv.ROLE_ELECTRON))
+        reg = sv.init_register([3, 2], (1, 0))
         reg, ph = sv.add_photon(reg, 3)
         out = edsr_then_emit(reg, ph, 0)
         assert np.allclose(out.amps, reg.amps)
@@ -244,6 +248,12 @@ class TestEmission:
         a = edsr_then_emit(sv.apply_permutation(reg, 0, 1, 2), ph, 0)
         b = sv.apply_permutation(edsr_then_emit(reg, ph, 0), 0, 1, 2)
         assert np.allclose(a.amps, b.amps, atol=1e-12)
+
+    def test_electron_axis_must_be_a_qubit(self):
+        # axis 0 is the qutrit donor, not the electron
+        reg, ph = sv.add_photon(self.psi1, 3)
+        with pytest.raises(ValueError, match="radix 2"):
+            sv.apply_emission(reg, ph, 0, 0)
 
     def test_finalize_requires_empty_vacuum(self):
         reg, ph = sv.add_photon(self.psi1, 3)
@@ -388,14 +398,13 @@ def reference_enumerate(reg, subsystem, atol=1e-14):
             sel[subsystem] = level
             new[tuple(sel)] = reg.amps[tuple(sel)] / math.sqrt(p)
             out.append((level, float(p),
-                        sv.Register(reg.radices, new, reg.labels, reg.cap)))
+                        sv.Register(reg.radices, new, reg.cap)))
     return out
 
 
 class TestMeasurement:
     def make_w3(self):
-        reg = sv.init_register([3, 2], (0, 0),
-                               labels=(sv.ROLE_DONOR, sv.ROLE_ELECTRON))
+        reg = sv.init_register([3, 2], (0, 0))
         reg = sv.apply_fourier(reg, 0)
         reg, ph = sv.add_photon(reg, 3)
         reg = edsr_then_emit(reg, ph, 0)
@@ -435,7 +444,6 @@ class TestMeasurement:
         rebuilt = np.zeros_like(reg.amps)
         for level, prob, collapsed in sv.enumerate_outcomes(reg, 0):
             assert collapsed.radices == reg.radices[1:]
-            assert collapsed.labels == reg.labels[1:]
             rebuilt[level] = math.sqrt(prob) * collapsed.amps
         assert np.max(np.abs(rebuilt - reg.amps)) < 1e-12
 
@@ -487,7 +495,6 @@ class TestMeasurement:
                     for m in sorted(order[:k + 1], reverse=True):
                         copy = sv.remove_subsystem(copy, m)
                     assert collapsed.radices == copy.radices
-                    assert collapsed.labels == copy.labels
                     assert np.max(np.abs(collapsed.amps - copy.amps)) <= 1e-15
                     nxt.append((outcomes + (level,), prob * p, collapsed))
             branches = nxt
@@ -518,11 +525,10 @@ class TestSerialization:
         rng = np.random.default_rng(3)
         amps = rng.normal(size=12) + 1j * rng.normal(size=12)
         amps /= np.linalg.norm(amps)
-        reg = sv.Register([3, 4], amps,
-                          labels=(sv.ROLE_DONOR, sv.ROLE_PHOTON))
+        reg = sv.Register([3, 4], amps)
+        assert set(reg.to_dict()) == {"radices", "amplitudes"}
         back = sv.Register.from_json(reg.to_json())
         assert back.radices == reg.radices
-        assert back.labels == reg.labels
         assert np.allclose(back.amps, reg.amps)
 
     @settings(max_examples=50, deadline=None)
@@ -534,13 +540,10 @@ class TestSerialization:
         parts = st.floats(-2.0, 2.0)
         amps = [complex(*data.draw(st.tuples(parts, parts)))
                 for _ in range(size)]
-        labels = data.draw(st.lists(
-            st.sampled_from((sv.ROLE_DONOR, sv.ROLE_ELECTRON, sv.ROLE_PHOTON)),
-            min_size=len(radices), max_size=len(radices)))
-        reg = sv.Register(radices, amps, labels)
+        reg = sv.Register(radices, amps)
         text = reg.to_json()
         back = sv.Register.from_json(text)
-        assert (back.radices, back.labels) == (reg.radices, reg.labels)
+        assert back.radices == reg.radices
         assert np.array_equal(back.amps, reg.amps)
         assert back.to_json() == text
 
