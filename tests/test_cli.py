@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdonor import cli
+from qdonor import spins as sp
 
 
 def run(*argv):
@@ -408,3 +409,37 @@ class TestDeterminism:
                     h.update(p.name.encode() + p.read_bytes())
         assert h.hexdigest() == (
             "aea895e154a865c341ca0f0e44f80ea0c2d5eb473d80defd987307a82ffb754e")
+
+    def test_spin_outputs_are_pinned(self, tmp_path):
+        # one SHA-256 over spectrum.csv and transitions.csv of every device,
+        # kind and spectator variant the benchmark and the docs use, a
+        # --params run per device, the six device-variation sweeps and the
+        # EDSR closed-form comparison
+        h = hashlib.sha256()
+        runs = [("--device", dev, "--kind", kind)
+                for dev in ("single", "double")
+                for kind in ("esr", "nmr", "edsr")]
+        runs += [("--device", "double", "--kind", "edsr", "--spectator", s)
+                 for s in ("weak-fixed", "strong-fixed", "strong-resolved")]
+        runs.append(("--device", "double", "--kind", "nmr",
+                     "--spectator", "weak-fixed"))
+        for dev, obj in (("single", {"B0": 1.2}),
+                         ("double", {"base": {"B0": 1.2}})):
+            f = tmp_path / f"{dev}.json"
+            f.write_text(json.dumps(obj))
+            runs.append(("--device", dev, "--params", str(f)))
+        for k, argv in enumerate(runs):
+            out = tmp_path / str(k)
+            assert run("spectrum", *argv, "--output", str(out)) == 0
+            for name in ("spectrum.csv", "transitions.csv"):
+                h.update(name.encode() + (out / name).read_bytes())
+        sweeps = [sp.sensitivity_sweep(p, sp.default_perturbations(double),
+                                       kind)
+                  for double, p in ((False, sp.SpinParams()),
+                                    (True, sp.DoubleSpinParams()))
+                  for kind in ("esr", "nmr", "edsr")]
+        h.update(json.dumps(sweeps, sort_keys=True).encode())
+        h.update(json.dumps(sp.edsr_comparison(sp.SpinParams()),
+                            sort_keys=True).encode())
+        assert h.hexdigest() == (
+            "a1026f189f8e95ed790721d7245092c6d800e45f608f4cb2103e1f8d9eec0f50")
