@@ -31,7 +31,7 @@ from .spins import (                                         # noqa: F401
     SpinParams, DoubleSpinParams, SpectrumResult, TransitionList,
     SpectatorConvention, LabelingAmbiguityError,
     build_single_donor_hamiltonian, build_double_donor_hamiltonian,
-    spectrum, single_donor_spectrum, double_donor_spectrum,
+    spectrum, donor_spectrum,
     enumerate_transitions, edsr_frequency_closed_form, edsr_comparison,
     sensitivity_sweep,
 )

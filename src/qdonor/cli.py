@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -65,21 +66,16 @@ _SPECTATORS = {
 
 
 def cmd_spectrum(args):
-    out = _out_dir(args)
+    record = sp.SpinParams if args.device == "single" else sp.DoubleSpinParams
     if args.params:
         text = Path(args.params).read_text()
         if not text.strip():
             raise ValueError("empty parameter file")
-        obj = json.loads(text)
+        params = record.from_dict(json.loads(text))
     else:
-        obj = None
-    if args.device == "single":
-        params = sp.SpinParams.from_dict(obj) if obj else sp.SpinParams()
-        spec = sp.single_donor_spectrum(params)
-    else:
-        params = (sp.DoubleSpinParams.from_dict(obj) if obj
-                  else sp.DoubleSpinParams())
-        spec = sp.double_donor_spectrum(params)
+        params = record()
+    out = _out_dir(args)
+    spec = sp.donor_spectrum(params)
     convention = _SPECTATORS[args.spectator]
     transitions = sp.enumerate_transitions(spec, args.kind, convention)
     (out / "spectrum.csv").write_text(
@@ -258,9 +254,9 @@ def _parse_sweep(expr):
         if start <= 0 or stop <= 0:
             raise ValueError(f"a log10 sweep needs positive endpoints, got "
                              f"{start} and {stop}")
-        values = np.geomspace(start, stop, points)
+        space = np.geomspace
     elif scale in ("lin", "linear"):
-        values = np.linspace(start, stop, points)
+        space = np.linspace
     else:
         raise ValueError(f"unknown sweep scale {scale!r}")
     key = {"qi": "q_i", "q_i": "q_i", "qc": "q_c", "q_c": "q_c",
@@ -268,7 +264,11 @@ def _parse_sweep(expr):
            "omega": "omega_c_ghz", "omega_c": "omega_c_ghz"}.get(name.lower())
     if key is None:
         raise ValueError(f"unknown sweep parameter {name!r}")
-    return key, values
+    # a non-finite endpoint makes numpy warn and fill the range with nan
+    for v in (start, stop):
+        if not math.isfinite(v):
+            raise ValueError(f"{key} must be positive and finite, got {v}")
+    return key, space(start, stop, points)
 
 
 def cmd_budget(args):

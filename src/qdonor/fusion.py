@@ -39,6 +39,11 @@ def ancilla_modes(d):
     return d * (d - 2)
 
 
+# geometric draws are made and summed this many at a time, so the memory
+# sample_attempts takes does not grow with the number of trials
+DRAW_CHUNK = 1 << 16
+
+
 def sample_attempts(p, trials, master_seed):
     """Seeded geometric sampling; used to cross-check the closed form 1/p."""
     if trials < 1:
@@ -47,12 +52,16 @@ def sample_attempts(p, trials, master_seed):
         raise ValueError("probability must lie in (0, 1]")
     expected = 1.0 / p
     rng = np.random.default_rng(master_seed)
-    draws = rng.geometric(p, size=int(trials))
-    mean = float(draws.mean())
+    trials = int(trials)
+    total = 0
+    for start in range(0, trials, DRAW_CHUNK):
+        size = min(DRAW_CHUNK, trials - start)
+        total += int(rng.geometric(p, size=size).sum(dtype=np.int64))
+    mean = total / trials
     se = math.sqrt((1 - p) / p**2 / trials)
     return {
         "p": p,
-        "trials": int(trials),
+        "trials": trials,
         "empirical_mean": mean,
         "expected_mean": expected,
         "std_error_of_mean": se,

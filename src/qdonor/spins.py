@@ -15,9 +15,9 @@ cavity detuning estimates.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field, asdict
+import numbers
+from dataclasses import dataclass, field, fields, asdict, replace
 
 import numpy as np
 
@@ -25,6 +25,9 @@ VALID_SPINS = (0.5, 1.5, 2.5, 3.5, 4.5)
 
 # largest |H - H^dag| accepted, relative to the largest |H| entry
 HERMITIAN_RTOL = 1e-12
+
+# smallest product-basis weight an eigenstate may have and still be labelled
+MIN_DOMINANCE = 0.9
 
 # Measured constants for the bulk donor and the two-donor molecule.
 GAMMA_N_MHZ_PER_T = 5.55
@@ -44,6 +47,26 @@ class LabelingAmbiguityError(RuntimeError):
     """Two eigenvectors claim the same product-basis label."""
 
 
+def _check_nonnegative(record, names):
+    """Each named field is a finite number >= 0; a bool is not a number."""
+    for name in names:
+        v = getattr(record, name)
+        if (isinstance(v, bool) or not isinstance(v, numbers.Real)
+                or not math.isfinite(v) or v < 0):
+            raise ValueError(f"{name}={v} must be finite and >= 0")
+
+
+def _check_object(cls, obj):
+    """``obj`` is a mapping whose keys all name fields of ``cls``."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{cls.__name__} needs a JSON object, "
+                         f"got {type(obj).__name__}")
+    unknown = sorted(set(obj) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {cls.__name__} field(s): "
+                         f"{', '.join(unknown)}")
+
+
 @dataclass(frozen=True)
 class SpinParams:
     """Single-donor constants; field units follow the common data sheets."""
@@ -59,10 +82,7 @@ class SpinParams:
         if self.I not in VALID_SPINS:
             raise ValueError(f"nuclear spin {self.I} not a supported "
                              f"half-integer {VALID_SPINS}")
-        for name in ("gamma_n", "gamma_e", "A", "B0", "f_q"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0:
-                raise ValueError(f"{name}={v} must be finite and >= 0")
+        _check_nonnegative(self, ("gamma_n", "gamma_e", "A", "B0", "f_q"))
 
     @property
     def nuclear_dim(self):
@@ -81,21 +101,13 @@ class SpinParams:
         """gamma_e B0 >> A >> f_q hierarchy flag."""
         return self.gamma_e_mhz * self.B0 > self.A > self.f_q_mhz
 
-    def replace(self, **kw):
-        data = asdict(self)
-        data.update(kw)
-        return SpinParams(**data)
-
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, obj):
+        _check_object(cls, obj)
         return cls(**obj)
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,7 @@ class DoubleSpinParams:
     f_q_s: float = FQ_STRONG_KHZ   # kHz
 
     def __post_init__(self):
+        _check_nonnegative(self, ("A_w", "A_s", "f_q_w", "f_q_s"))
         if self.A_s <= self.A_w * 1e-3:
             raise ValueError("strong coupling must exceed the weak one")
 
@@ -116,31 +129,16 @@ class DoubleSpinParams:
     def A_w_mhz(self):
         return self.A_w * 1e-3
 
-    def replace(self, **kw):
-        data = {"base": self.base, "A_w": self.A_w, "A_s": self.A_s,
-                "f_q_w": self.f_q_w, "f_q_s": self.f_q_s}
-        base_kw = {k: v for k, v in kw.items()
-                   if k in ("gamma_n", "gamma_e", "A", "B0", "f_q", "I")}
-        if base_kw:
-            data["base"] = self.base.replace(**base_kw)
-        data.update({k: v for k, v in kw.items() if k in data and k != "base"})
-        if "base" in kw:
-            data["base"] = kw["base"]
-        return DoubleSpinParams(**data)
-
     def to_dict(self):
         return {"base": self.base.to_dict(), "A_w": self.A_w,
                 "A_s": self.A_s, "f_q_w": self.f_q_w, "f_q_s": self.f_q_s}
 
     @classmethod
     def from_dict(cls, obj):
+        _check_object(cls, obj)
         obj = dict(obj)
         base = SpinParams.from_dict(obj.pop("base", {}))
         return cls(base=base, **obj)
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
 
 
 # -- operators ----------------------------------------------------------------
@@ -265,12 +263,12 @@ class SpectrumResult:
                 for i in range(len(self.labels))]
 
 
-def spectrum(h, structure, min_dominance=0.0):
+def spectrum(h, structure):
     """Diagonalize and label by dominant product-basis amplitude.
 
     ``structure`` is one label tuple per subsystem, ordered like the kron
     factors.  Raises LabelingAmbiguityError when two eigenvectors claim the
-    same basis state or dominance falls below ``min_dominance``.
+    same basis state or dominance falls below ``MIN_DOMINANCE``.
     """
     h = np.asarray(h)
     _check_hermitian(h)
@@ -293,27 +291,29 @@ def spectrum(h, structure, min_dominance=0.0):
         dupes = {l for l in labels if labels.count(l) > 1}
         raise LabelingAmbiguityError(
             f"ambiguous dominant-basis labeling: {sorted(dupes)}")
-    if min_dominance and min(doms) < min_dominance:
+    if min(doms) < MIN_DOMINANCE:
         worst = min(range(len(doms)), key=lambda i: doms[i])
         raise LabelingAmbiguityError(
             f"eigenstate {labels[worst]} dominance {doms[worst]:.3f} below "
-            f"{min_dominance}")
+            f"{MIN_DOMINANCE}")
     return SpectrumResult(tuple(float(v) for v in vals), vecs,
                           tuple(levels), tuple(labels), tuple(structure),
                           tuple(doms))
 
 
-def single_donor_spectrum(p: SpinParams, min_dominance=0.9):
-    h = build_single_donor_hamiltonian(p)
-    return spectrum(h, (electron_structure(), nuclear_structure(p.I)),
-                    min_dominance)
+def donor_spectrum(params):
+    """Labelled spectrum of either device, told apart by the record's type.
 
-
-def double_donor_spectrum(dp: DoubleSpinParams, min_dominance=0.9):
-    h = build_double_donor_hamiltonian(dp)
-    I = dp.base.I
-    return spectrum(h, (electron_structure(), nuclear_structure(I),
-                        nuclear_structure(I)), min_dominance)
+    A ``SpinParams`` is the single donor (electron x nucleus, 16 levels); a
+    ``DoubleSpinParams`` is the molecule (electron x strong x weak, 128).
+    """
+    if isinstance(params, DoubleSpinParams):
+        h = build_double_donor_hamiltonian(params)
+        nuclei = (nuclear_structure(params.base.I),) * 2
+    else:
+        h = build_single_donor_hamiltonian(params)
+        nuclei = (nuclear_structure(params.I),)
+    return spectrum(h, (electron_structure(),) + nuclei)
 
 
 # -- transitions --------------------------------------------------------------
@@ -382,58 +382,45 @@ def enumerate_transitions(spec: SpectrumResult, kind,
     nmr_targets = ([conv.target] if convention is not None
                    else list(range(1, n_nuclei + 1)))
     entries = []
-    seen = set()
     index = {lv: i for i, lv in enumerate(spec.levels)}
     for i, lv in enumerate(spec.levels):
         for j_lv in _partners(lv, kind, conv, spec.structure, n_nuclei,
                               nmr_targets):
-            j = index.get(j_lv)
-            if j is None or j == i:
-                continue
-            key = frozenset((i, j))
-            if key in seen:
-                continue
-            seen.add(key)
+            j = index[j_lv]
             f = abs(spec.energies_mhz[j] - spec.energies_mhz[i])
-            lo, hi = sorted((i, j), key=lambda k: spec.energies_mhz[k])
+            # energies ascend with the index, ties kept in index order
+            lo, hi = min(i, j), max(i, j)
             entries.append((spec.labels[hi], spec.labels[lo], float(f)))
     entries.sort(key=lambda e: (e[2], e[0], e[1]))
     return TransitionList(kind, tuple(entries))
 
 
 def _partners(lv, kind, conv, structure, n_nuclei, nmr_targets):
-    """Candidate destination level tuples for one source level."""
-    e = lv[0]
+    """Destination level tuples of the transitions that start at ``lv``.
+
+    Each transition is generated once, from one end: ESR and EDSR from
+    electron index 0, NMR from the lower index of the moving nucleus.
+    """
     out = []
-    if kind == "esr":
-        out.append((1 - e,) + lv[1:])
-        return out
     if kind == "nmr":
         for t in nmr_targets:
-            for step in (-1, +1):
-                nl = lv[t] + step
-                if 0 <= nl < len(structure[t]):
-                    cand = list(lv)
-                    cand[t] = nl
-                    out.append(tuple(cand))
+            if lv[t] + 1 < len(structure[t]):
+                out.append(lv[:t] + (lv[t] + 1,) + lv[t + 1:])
+        return out
+    if lv[0] != 0:
+        return out
+    if kind == "esr":
+        out.append((1,) + lv[1:])
         return out
     # EDSR: flip-flop conserving m_S + m_I.  Level index counts DOWN from
     # +I, so electron index 0 (up, m_S=+1/2) pairs with a nucleus one index
     # higher (m_I one lower).
     t = conv.target
-    spect = [k for k in range(1, n_nuclei + 1) if k != t]
-    step = +1 if e == 0 else -1
-    nl = lv[t] + step
-    if 0 <= nl < len(structure[t]):
-        ok = True
-        for s in spect:
-            if conv.policy == "fixed" and lv[s] != conv.spectator_level:
-                ok = False
-        if ok:
-            cand = list(lv)
-            cand[0] = 1 - e
-            cand[t] = nl
-            out.append(tuple(cand))
+    held = conv.policy == "fixed" and any(
+        lv[s] != conv.spectator_level
+        for s in range(1, n_nuclei + 1) if s != t)
+    if lv[t] + 1 < len(structure[t]) and not held:
+        out.append((1,) + lv[1:t] + (lv[t] + 1,) + lv[t + 1:])
     return out
 
 
@@ -453,7 +440,7 @@ def edsr_frequency_closed_form(m_i, p: SpinParams):
     return p.B0 * gamma_plus + (m_i - 0.5) * (p.f_q_mhz + p.A)
 
 
-def edsr_comparison(p: SpinParams | None = None):
+def edsr_comparison(p: SpinParams):
     """Closed form versus full diagonalization for every valid m_I.
 
     The report carries the quoted cavity frequency alongside; the quoted
@@ -461,8 +448,7 @@ def edsr_comparison(p: SpinParams | None = None):
     field calibration behind it is not pinned down, so both are shown and
     nothing is tuned.
     """
-    p = p or SpinParams()
-    spec = single_donor_spectrum(p)
+    spec = donor_spectrum(p)
     rows = []
     steps = int(2 * p.I)
     for k in range(steps):
@@ -485,36 +471,35 @@ def edsr_comparison(p: SpinParams | None = None):
     }
 
 
-_SINGLE_PARAMS = ("B0", "A", "f_q")
-_DOUBLE_PARAMS = ("B0", "A_w", "A_s", "f_q_w", "f_q_s")
+# the fields a sweep may move, where the record carries them; the
+# molecule's B0 is its base's
+_SWEPT = ("B0", "A", "f_q", "A_w", "A_s", "f_q_w", "f_q_s")
 
 
-def sensitivity_sweep(params, perturbations, kind="esr", convention=None,
-                      min_dominance=0.9):
+def sensitivity_sweep(params, perturbations, kind="esr"):
     """Re-diagonalize under parameter shifts and report transition moves.
 
     ``perturbations`` is a list of (name, delta, mode) with mode "absolute"
-    (same unit as the field) or "relative"; transitions are matched by their
-    labels against the unperturbed reference.
+    (same unit as the field) or "relative".  ``name`` is B0, A or f_q for a
+    single donor, and B0, A_w, A_s, f_q_w or f_q_s for the molecule.
+    Transitions are matched by their labels against the unperturbed
+    reference.
     """
-    double = isinstance(params, DoubleSpinParams)
-    valid = _DOUBLE_PARAMS if double else _SINGLE_PARAMS
-    spec0 = (double_donor_spectrum(params, min_dominance) if double
-             else single_donor_spectrum(params, min_dominance))
-    base_tr = enumerate_transitions(spec0, kind, convention)
+    base_tr = enumerate_transitions(donor_spectrum(params), kind)
     base = {(f, t): x for f, t, x in base_tr.entries}
     rows = []
-    for pert in perturbations:
-        name, delta, mode = (pert if len(pert) == 3 else (*pert, "absolute"))
-        if name not in valid:
-            raise ValueError(f"unknown parameter {name!r}; valid: {valid}")
-        current = _get_param(params, name)
+    for name, delta, mode in perturbations:
+        record = getattr(params, "base", params) if name == "B0" else params
+        if name not in _SWEPT or not hasattr(record, name):
+            raise ValueError(f"unknown parameter {name!r} for "
+                             f"{type(params).__name__}")
+        current = getattr(record, name)
         new_val = current * (1 + delta) if mode == "relative" \
             else current + delta
-        newp = params.replace(**{name: new_val})
-        spec1 = (double_donor_spectrum(newp, min_dominance) if double
-                 else single_donor_spectrum(newp, min_dominance))
-        new_tr = enumerate_transitions(spec1, kind, convention)
+        moved = replace(record, **{name: new_val})
+        newp = (moved if record is params
+                else replace(params, base=moved))
+        new_tr = enumerate_transitions(donor_spectrum(newp), kind)
         shifts = []
         for f, t, x in new_tr.entries:
             if (f, t) in base:
@@ -537,14 +522,6 @@ def default_perturbations(double=False):
                 ("f_q_s", 50.0, "absolute")]
     return [("B0", 1e-3, "absolute"), ("A", 5.0, "absolute"),
             ("f_q", 4.0, "absolute"), ("f_q", 50.0, "absolute")]
-
-
-def _get_param(params, name):
-    if isinstance(params, DoubleSpinParams):
-        if name == "B0":
-            return params.base.B0
-        return getattr(params, name)
-    return getattr(params, name)
 
 
 def spectrum_csv(spec: SpectrumResult):

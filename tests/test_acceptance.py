@@ -263,7 +263,7 @@ def test_criterion_8_spectrum_counts():
         dp = sp.DoubleSpinParams()
         dim16 = sp.build_single_donor_hamiltonian(p).shape[0]
         dim128 = sp.build_double_donor_hamiltonian(dp).shape[0]
-        spec = sp.double_donor_spectrum(dp)
+        spec = sp.donor_spectrum(dp)
         n_esr = len(sp.enumerate_transitions(spec, "esr"))
         n_strong = len(sp.enumerate_transitions(
             spec, "edsr", sp.SpectatorConvention(1, "fixed", 0)))

@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,27 @@ class TestSpectrumCommand:
         f.write_text(json.dumps(params))
         assert run("spectrum", "--params", str(f), "--device", "single",
                    "--output", str(tmp_path)) == 3
+
+    @pytest.mark.parametrize("device,text", [
+        ("single", "[1, 2]"), ("single", "[]"), ("single", "0"),
+        ("single", '{"foo": 1}'), ("single", '{"A": "x"}'),
+        ("single", '{"B0": null}'), ("single", '{"B0": true}'),
+        ("double", '{"base": 5}'), ("double", '{"A": 1.0}'),
+        ("double", '{"base": {"foo": 1}}'),
+        ("double", '{"A_s": NaN}'), ("double", '{"A_s": Infinity}'),
+        ("double", '{"A_w": NaN}'), ("double", '{"A_w": Infinity}'),
+        ("double", '{"A_w": -1.0}'), ("double", '{"f_q_w": -1.0}'),
+    ])
+    def test_malformed_params_exit_2(self, tmp_path, capsys, device, text):
+        f = tmp_path / "params.json"
+        f.write_text(text)
+        out = tmp_path / "o"
+        assert run("spectrum", "--params", str(f), "--device", device,
+                   "--output", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_params_file_round_trip(self, tmp_path):
         params = {"gamma_n": 5.55, "gamma_e": 27.97, "A": 101.52,
@@ -185,6 +207,21 @@ class TestBudgetCommand:
         assert "Traceback" not in err
         assert f"{field} must be positive and finite" in err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("arg,given", [
+        ("--sweep=Qc=1e4:inf:lin:3", "q_c must be positive and finite, "
+                                     "got inf"),
+        ("--sweep=Qi=-inf:1e6:linear:3", "q_i must be positive and finite, "
+                                         "got -inf"),
+        ("--sweep=Qi=1e5:inf:log10:3", "q_i must be positive and finite, "
+                                       "got inf"),
+    ])
+    def test_non_finite_sweep_endpoint_is_named_without_warning(
+            self, tmp_path, capsys, arg, given):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("budget", arg, "--output", str(tmp_path)) == 2
+        assert capsys.readouterr().err == f"error: {given}\n"
 
     def test_sweep_endpoints_reproduce_example_rows(self, tmp_path):
         assert run("budget", "--sweep", "Qi=1e5:1e6:log10",

@@ -1,5 +1,7 @@
 """Fusion probabilities, projective chain fusion, scheme comparison."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -57,6 +59,25 @@ class TestAttempts:
         a = fu.sample_attempts(0.3, 1000, master_seed=7)
         b = fu.sample_attempts(0.3, 1000, master_seed=7)
         assert a == b
+
+    def test_draws_are_not_held_at_once(self):
+        # a million int64 draws would take 8 MB in one array
+        tracemalloc.start()
+        try:
+            fu.sample_attempts(1 / 6, 10**6, master_seed=3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 10**6
+
+    @pytest.mark.parametrize("p", [1 / 2, 1 / 6, 1 / 36, 1.0])
+    def test_chunk_size_leaves_the_mean_unchanged(self, monkeypatch, p):
+        one_shot = np.random.default_rng(5).geometric(p, size=1001).mean()
+        full = fu.sample_attempts(p, 1001, master_seed=5)
+        monkeypatch.setattr(fu, "DRAW_CHUNK", 7)
+        small = fu.sample_attempts(p, 1001, master_seed=5)
+        assert small == full
+        assert full["empirical_mean"] == one_shot
 
 
 class TestChainFusion:

@@ -1,5 +1,8 @@
 """Spin Hamiltonians, spectra, selection rules, closed forms, sweeps."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -18,7 +21,7 @@ def double():
 
 @pytest.fixture(scope="module")
 def double_spec(double):
-    return sp.double_donor_spectrum(double)
+    return sp.donor_spectrum(double)
 
 
 class TestParams:
@@ -35,7 +38,7 @@ class TestParams:
 
     def test_secular_hierarchy_flag(self, single):
         assert single.secular_regime
-        assert not single.replace(B0=0.0).secular_regime
+        assert not dataclasses.replace(single, B0=0.0).secular_regime
 
     def test_spin_validation(self):
         with pytest.raises(ValueError):
@@ -48,10 +51,10 @@ class TestParams:
             sp.DoubleSpinParams(A_s=0.0001)
 
     def test_json_round_trip(self, single, double):
-        assert sp.SpinParams.from_json(
-            __import__("json").dumps(single.to_dict())) == single
-        assert sp.DoubleSpinParams.from_json(
-            __import__("json").dumps(double.to_dict())) == double
+        assert sp.SpinParams.from_dict(
+            json.loads(json.dumps(single.to_dict()))) == single
+        assert sp.DoubleSpinParams.from_dict(
+            json.loads(json.dumps(double.to_dict()))) == double
 
 
 class TestHamiltonians:
@@ -77,7 +80,7 @@ class TestHamiltonians:
     def test_pure_zeeman_electron_gap(self):
         # A = f_q = 0: the electron-flip gap at fixed m_I is gamma_e B0
         p = sp.SpinParams(A=0.0, f_q=0.0)
-        spec = sp.single_donor_spectrum(p, min_dominance=0.0)
+        spec = sp.donor_spectrum(p)
         gap = spec.energy_of("up:+7/2") - spec.energy_of("dn:+7/2")
         assert gap == pytest.approx(27.97e3, rel=1e-12)
 
@@ -124,7 +127,7 @@ class TestSpectrum:
                            np.eye(3)[:, [1, 2, 0]])
 
     def test_sixteen_levels_split_into_manifolds(self, single):
-        spec = sp.single_donor_spectrum(single)
+        spec = sp.donor_spectrum(single)
         arrows = [lab.split(":")[0] for lab in spec.labels]
         assert arrows.count("dn") == 8
         assert arrows.count("up") == 8
@@ -142,13 +145,14 @@ class TestSpectrum:
         h = np.array([[0.0, 0.2], [0.2, 1.0]])
         spec = sp.spectrum(h, (("up", "dn"),))
         assert spec.labels == ("up", "dn")
+        # off-diagonal 0.5 leaves each eigenstate a weight of 0.854
         with pytest.raises(sp.LabelingAmbiguityError):
-            sp.spectrum(h, (("up", "dn"),), min_dominance=0.999)
+            sp.spectrum(np.array([[0.0, 0.5], [0.5, 1.0]]), (("up", "dn"),))
 
 
 class TestTransitions:
     def test_single_donor_esr_count(self, single):
-        spec = sp.single_donor_spectrum(single)
+        spec = sp.donor_spectrum(single)
         assert len(sp.enumerate_transitions(spec, "esr")) == 8
 
     def test_double_donor_esr_count_64(self, double_spec):
@@ -176,16 +180,62 @@ class TestTransitions:
         pairs = {frozenset((a, b)) for a, b, _ in tr.entries}
         assert len(pairs) == len(tr)
 
+    @pytest.mark.parametrize("I", [0.5, 2.5, 4.5])
+    def test_each_allowed_pair_listed_once(self, I):
+        # reference: a walk over every level pair, keeping those the
+        # selection rules allow
+        conventions = [None, sp.SpectatorConvention(1, "fixed", 0),
+                       sp.SpectatorConvention(1, "resolved")]
+        double_conventions = conventions + [
+            sp.SpectatorConvention(2, "fixed", 0),
+            sp.SpectatorConvention(2, "fixed", 1),
+            sp.SpectatorConvention(2, "resolved")]
+        base = sp.SpinParams(I=I)
+        for params, convs in ((base, conventions),
+                              (sp.DoubleSpinParams(base=base),
+                               double_conventions)):
+            spec = sp.donor_spectrum(params)
+            for kind in ("esr", "nmr", "edsr"):
+                for conv in convs:
+                    got = sp.enumerate_transitions(spec, kind, conv).entries
+                    assert got == _allowed_pairs(spec, kind, conv)
+
     def test_unknown_kind_rejected(self, double_spec):
         with pytest.raises(ValueError):
             sp.enumerate_transitions(double_spec, "optical")
 
     def test_csv_format(self, single):
-        spec = sp.single_donor_spectrum(single)
+        spec = sp.donor_spectrum(single)
         csv = sp.enumerate_transitions(spec, "esr").to_csv()
         header, first = csv.splitlines()[:2]
         assert header == "from_label,to_label,frequency_MHz"
         assert len(first.split(",")) == 3
+
+
+def _allowed_pairs(spec, kind, conv):
+    n = len(spec.structure) - 1
+    targets = [conv.target] if conv else range(1, n + 1)
+    conv = conv or sp.SpectatorConvention()
+    out = []
+    for j, b in enumerate(spec.levels):
+        for i, a in enumerate(spec.levels[:j]):
+            diff = [k for k in range(n + 1) if a[k] != b[k]]
+            if kind == "esr":
+                ok = diff == [0]
+            elif kind == "nmr":
+                ok = (len(diff) == 1 and diff[0] in targets
+                      and abs(a[diff[0]] - b[diff[0]]) == 1)
+            else:
+                t = conv.target
+                up, dn = (a, b) if a[0] == 0 else (b, a)
+                ok = (diff == [0, t] and dn[t] == up[t] + 1
+                      and (conv.policy == "resolved" or all(
+                          a[s] == conv.spectator_level
+                          for s in range(1, n + 1) if s != t)))
+            if ok:
+                out.append((spec.labels[j], spec.labels[i],
+                            abs(spec.energies_mhz[j] - spec.energies_mhz[i])))
+    return tuple(sorted(out, key=lambda e: (e[2], e[0], e[1])))
 
 
 class TestClosedForm:
@@ -240,8 +290,7 @@ class TestSensitivity:
     def test_quadrupole_leaves_pure_zeeman_electron_gap(self):
         # with A = 0 the ESR line must stay put while f_q moves
         p = sp.SpinParams(A=0.0, f_q=0.0)
-        out = sp.sensitivity_sweep(p, [("f_q", 50.0, "absolute")], "esr",
-                                   min_dominance=0.0)
+        out = sp.sensitivity_sweep(p, [("f_q", 50.0, "absolute")], "esr")
         assert out["perturbed"][0]["max_abs_shift_mhz"] == pytest.approx(
             0.0, abs=1e-9)
 
