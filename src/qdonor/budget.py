@@ -10,7 +10,6 @@ enters only as a duration-to-coherence ratio flag.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -38,10 +37,6 @@ class CavityParams:
     def to_dict(self):
         return {"omega_c_ghz": self.omega_c_ghz, "g_s_mhz": self.g_s_mhz,
                 "q_i": self.q_i, "q_c": self.q_c}
-
-    @classmethod
-    def from_dict(cls, obj):
-        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -142,9 +137,6 @@ class OperationTable:
             "notes": list(self.notes),
         }
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
-
     @classmethod
     def from_dict(cls, obj):
         if not (isinstance(obj, dict)
@@ -155,7 +147,7 @@ class OperationTable:
         for k, r in obj["operations"].items():
             if not isinstance(r, dict):
                 raise ValueError(f"row {k!r} must be an object, got {r!r}")
-            dur = r["duration_us"]
+            dur = r.get("duration_us")
             if _is_number(dur):
                 dur = [dur]
             if not (isinstance(dur, (list, tuple)) and len(dur) in (1, 2)
@@ -179,10 +171,6 @@ class OperationTable:
                    {k: (None if v is None else float(v))
                     for k, v in coherence.items()},
                    tuple(notes))
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
 
 
 def single_donor_table() -> OperationTable:
@@ -335,24 +323,17 @@ def timing_fidelity_budget(program, table, cavity=None) -> TimingReport:
 # -- Monte Carlo photon loss -------------------------------------------------
 
 
-def monte_carlo_mode_loss(photons, p_loss, trials, master_seed,
-                          per_mode=False, d=None):
+def monte_carlo_mode_loss(photons, p_loss, trials, master_seed):
     """Empirical all-photons-survive rate under per-photon loss.
 
     In the one-hot time-bin model each photon occupies exactly one of its d
-    modes, so loss is charged once per photon by default; ``per_mode=True``
-    switches to the d-modes-physically reading with survival (1-p)^d.
+    modes, so loss is charged once per photon, whatever d is.
     """
     if not 0.0 <= p_loss <= 1.0:
         raise ValueError("p_loss must lie in [0, 1]")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if per_mode:
-        if d is None:
-            raise ValueError("per_mode=True needs the photon dimension d")
-        q = (1.0 - p_loss) ** d
-    else:
-        q = 1.0 - p_loss
+    q = 1.0 - p_loss
     expected = q ** photons
     rng = np.random.default_rng(master_seed)
     if q in (0.0, 1.0):
@@ -364,7 +345,6 @@ def monte_carlo_mode_loss(photons, p_loss, trials, master_seed,
     return {
         "photons": int(photons),
         "p_loss": float(p_loss),
-        "per_mode": bool(per_mode),
         "trials": int(trials),
         "survival_rate": rate,
         "expected_rate": float(expected),

@@ -5,7 +5,8 @@ summary on stdout, and is a pure function of (inputs, seed, version): rerun
 with the same arguments and the output bytes are identical.
 
 Exit codes: 0 ok, 2 malformed input, 3 labeling ambiguity, 4 verification
-failure, 5 resource cap exceeded.
+failure, 5 resource cap exceeded.  The output directory is made with the
+first file written, so a command that exits 2, 3 or 5 leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -35,22 +36,22 @@ EXIT_CAP = 5
 DEFAULT_SEED = 20250808
 
 
+def _write(path, text):
+    """Write one output file, making its directory on the way."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(text)
+
+
 def _write_json(path, obj):
     payload = {"version": __version__}
     payload.update(obj)
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _write_csv(path, header, rows):
     lines = [f"# qdonor {__version__}", header]
     lines += rows
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _out_dir(args):
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
+    _write(path, "\n".join(lines) + "\n")
 
 
 # -- spectrum -----------------------------------------------------------------
@@ -74,14 +75,15 @@ def cmd_spectrum(args):
         params = record.from_dict(json.loads(text))
     else:
         params = record()
-    out = _out_dir(args)
+    out = Path(args.output)
     spec = sp.donor_spectrum(params)
     convention = _SPECTATORS[args.spectator]
     transitions = sp.enumerate_transitions(spec, args.kind, convention)
-    (out / "spectrum.csv").write_text(
-        f"# qdonor {__version__}\n" + sp.spectrum_csv(spec))
-    (out / "transitions.csv").write_text(
-        f"# qdonor {__version__}\n" + transitions.to_csv())
+    _write_csv(out / "spectrum.csv", "index,label,energy_MHz",
+               [f"{i},{label},{e!r}" for i, (label, e)
+                in enumerate(zip(spec.labels, spec.energies_mhz))])
+    _write_csv(out / "transitions.csv", "from_label,to_label,frequency_MHz",
+               [f"{frm},{to},{f!r}" for frm, to, f in transitions.entries])
     print(f"{args.device} donor: {len(spec.labels)} levels, "
           f"{len(transitions)} {args.kind.upper()} transitions "
           f"-> {out / 'spectrum.csv'}, {out / 'transitions.csv'}")
@@ -132,7 +134,7 @@ def cmd_protocol(args):
     if args.cap is not None and args.cap < 1:
         raise ValueError(f"amplitude cap must be at least 1, got {args.cap}")
     seed = _seed(args)
-    out = _out_dir(args)
+    out = Path(args.output)
     program = _compile(args)
     enumerated = args.enumerate or args.mode == "verify"
     trace = pr.execute(program, seed=seed, enumerate_all=enumerated,
@@ -175,7 +177,7 @@ def cmd_protocol(args):
 def cmd_fusion(args):
     seed = _seed(args)
     fu.check_fusable_chain(args.chain_n)
-    out = _out_dir(args)
+    out = Path(args.output)
     table = {str(d): fu.success_probability(d) for d in range(2, 9)}
     result = {
         "d": args.d,
@@ -210,7 +212,7 @@ def cmd_fusion(args):
 
 
 def cmd_compare(args):
-    out = _out_dir(args)
+    out = Path(args.output)
     report = fu.compare_schemes(args.d, args.target)
     _write_json(out / "compare.json", report)
     a, b = report["schemeA"], report["schemeB"]
@@ -230,7 +232,8 @@ def _load_table(spec_str):
         return bg.single_donor_table()
     if spec_str == "sb2":
         return bg.sb2_table()
-    return bg.OperationTable.from_json(Path(spec_str).read_text())
+    return bg.OperationTable.from_dict(
+        json.loads(Path(spec_str).read_text()))
 
 
 def _load_program(path):
@@ -272,7 +275,7 @@ def _parse_sweep(expr):
 
 
 def cmd_budget(args):
-    out = _out_dir(args)
+    out = Path(args.output)
     table = _load_table(args.table)
     cavity = (bg.CavityParams() if args.qi is None
               else bg.CavityParams(q_i=args.qi))
@@ -385,8 +388,10 @@ def main(argv=None):
     except sv.CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, KeyError, OSError) as exc:
+        # str() of a KeyError is the repr of its message, quotes and all
+        msg = exc.args[0] if isinstance(exc, KeyError) else exc
+        print(f"error: {msg}", file=sys.stderr)
         return EXIT_INPUT
 
 

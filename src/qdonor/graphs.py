@@ -9,7 +9,6 @@ deterministic local-correction search.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, replace
 
@@ -56,17 +55,10 @@ class GraphSpec:
     def to_dict(self):
         return {"n": self.n, "d": self.d, "adjacency": list(self.adjacency)}
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
-
     @classmethod
     def from_dict(cls, obj):
         return cls(int(obj["n"]), int(obj["d"]),
                    tuple(int(x) for x in obj["adjacency"]))
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
 
 
 def make_linear(n, d):

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,24 +219,17 @@ class Program:
             "instructions": [ins.to_dict() for ins in self.instructions],
         }
 
-    def to_json(self, **kw):
-        return json.dumps(self.to_dict(), **kw)
-
     @classmethod
     def from_dict(cls, obj):
         if not isinstance(obj, dict):
             raise ValueError("program must be an object, got a "
                              f"{type(obj).__name__}")
-        if not isinstance(obj["instructions"], list):
+        instructions = obj.get("instructions")
+        if not isinstance(instructions, list):
             raise ValueError("program instructions must be a list, got "
-                             f"{obj['instructions']!r}")
-        return cls(obj["d"], obj["n_emitters"], obj["n_photons"],
-                   tuple(Instruction.from_dict(i)
-                         for i in obj["instructions"]))
-
-    @classmethod
-    def from_json(cls, s):
-        return cls.from_dict(json.loads(s))
+                             f"{instructions!r}")
+        return cls(obj.get("d"), obj.get("n_emitters"), obj.get("n_photons"),
+                   tuple(Instruction.from_dict(i) for i in instructions))
 
 
 # -- compilers --------------------------------------------------------------

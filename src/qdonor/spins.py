@@ -258,10 +258,6 @@ class SpectrumResult:
     def energy_of(self, label):
         return self.energies_mhz[self.label_to_index()[label]]
 
-    def to_rows(self):
-        return [(i, self.labels[i], self.energies_mhz[i])
-                for i in range(len(self.labels))]
-
 
 def spectrum(h, structure):
     """Diagonalize and label by dominant product-basis amplitude.
@@ -348,12 +344,6 @@ class TransitionList:
 
     def frequencies(self):
         return [e[2] for e in self.entries]
-
-    def to_csv(self):
-        lines = ["from_label,to_label,frequency_MHz"]
-        for frm, to, f in self.entries:
-            lines.append(f"{frm},{to},{f!r}")
-        return "\n".join(lines) + "\n"
 
     def to_dict(self):
         return {"kind": self.kind,
@@ -493,6 +483,9 @@ def sensitivity_sweep(params, perturbations, kind="esr"):
         if name not in _SWEPT or not hasattr(record, name):
             raise ValueError(f"unknown parameter {name!r} for "
                              f"{type(params).__name__}")
+        if mode not in ("absolute", "relative"):
+            raise ValueError(f"unknown perturbation mode {mode!r}; expected "
+                             "'absolute' or 'relative'")
         current = getattr(record, name)
         new_val = current * (1 + delta) if mode == "relative" \
             else current + delta
@@ -522,10 +515,3 @@ def default_perturbations(double=False):
                 ("f_q_s", 50.0, "absolute")]
     return [("B0", 1e-3, "absolute"), ("A", 5.0, "absolute"),
             ("f_q", 4.0, "absolute"), ("f_q", 50.0, "absolute")]
-
-
-def spectrum_csv(spec: SpectrumResult):
-    lines = ["index,label,energy_MHz"]
-    for i, lab, e in spec.to_rows():
-        lines.append(f"{i},{lab},{e!r}")
-    return "\n".join(lines) + "\n"

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 from dataclasses import dataclass
 
@@ -91,17 +90,10 @@ class Register:
             "amplitudes": [[float(a.real), float(a.imag)] for a in flat],
         }
 
-    def to_json(self, **kwargs):
-        return json.dumps(self.to_dict(), **kwargs)
-
     @classmethod
     def from_dict(cls, d, cap=DEFAULT_AMPLITUDE_CAP):
         amps = np.array([complex(re, im) for re, im in d["amplitudes"]])
         return cls(d["radices"], amps, cap)
-
-    @classmethod
-    def from_json(cls, s, cap=DEFAULT_AMPLITUDE_CAP):
-        return cls.from_dict(json.loads(s), cap)
 
     def __repr__(self):
         return f"Register(radices={self.radices})"

@@ -111,7 +111,7 @@ class TestOperationTables:
 
     def test_json_round_trip(self):
         t = bg.sb2_table()
-        back = bg.OperationTable.from_json(t.to_json())
+        back = bg.OperationTable.from_dict(json.loads(json.dumps(t.to_dict())))
         assert back.rows == t.rows
         assert back.coherence_us == t.coherence_us
 
@@ -129,10 +129,10 @@ class TestOperationTables:
             data.draw(names), rows,
             data.draw(st.dictionaries(names, st.none() | times, max_size=4)),
             tuple(data.draw(st.lists(names, max_size=3))))
-        text = table.to_json()
-        back = bg.OperationTable.from_json(text)
+        text = json.dumps(table.to_dict())
+        back = bg.OperationTable.from_dict(json.loads(text))
         assert back == table
-        assert back.to_json() == text
+        assert json.dumps(back.to_dict()) == text
 
 
 class TestTimingBudget:
@@ -233,11 +233,6 @@ class TestMonteCarloLoss:
         assert out["within_3_sigma"]
         assert out["expected_rate"] == pytest.approx((1 - p) ** 6)
 
-    def test_per_mode_convention_switch(self):
-        out = bg.monte_carlo_mode_loss(2, 0.05, 10**5, 3, per_mode=True, d=4)
-        assert out["expected_rate"] == pytest.approx((0.95**4) ** 2)
-        assert out["within_3_sigma"]
-
     def test_seeded_reproducibility(self):
         a = bg.monte_carlo_mode_loss(6, 0.05, 10**4, 5)
         b = bg.monte_carlo_mode_loss(6, 0.05, 10**4, 5)
@@ -248,5 +243,3 @@ class TestMonteCarloLoss:
             bg.monte_carlo_mode_loss(6, 1.5, 10, 0)
         with pytest.raises(ValueError):
             bg.monte_carlo_mode_loss(6, 0.5, 0, 0)
-        with pytest.raises(ValueError):
-            bg.monte_carlo_mode_loss(6, 0.5, 10, 0, per_mode=True)

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdonor import budget as bg
 from qdonor import cli
+from qdonor import protocols as pr
 from qdonor import spins as sp
 
 
@@ -312,6 +314,32 @@ class TestBudgetCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert not (tmp_path / "budget.json").exists()
 
+    @pytest.mark.parametrize("prog,table,message", [
+        pytest.param("six-ring", "single",
+                     "operation table 'single-donor' has no row 'cz'",
+                     id="table-without-cz"),
+        pytest.param("no-d", "sb2",
+                     "program d must be an integer, got None", id="no-d"),
+        pytest.param("six-ring", "no-duration",
+                     "row 'fourier': duration_us must be a number or a "
+                     "list of one or two, got None", id="no-duration"),
+    ])
+    def test_missing_entry_is_named_without_quotes(self, tmp_path, capsys,
+                                                   prog, table, message):
+        obj = pr.compile_six_ring(2).to_dict()
+        if prog == "no-d":
+            del obj["d"]
+        f = tmp_path / "prog.json"
+        f.write_text(json.dumps(obj))
+        if table == "no-duration":
+            rows = bg.sb2_table().to_dict()
+            del rows["operations"]["fourier"]["duration_us"]
+            table = tmp_path / "table.json"
+            table.write_text(json.dumps(rows))
+        assert run("budget", "--program", str(f), "--table", str(table),
+                   "--output", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_sb2_table_budgets_cz(self, tmp_path):
         prog = {"d": 2, "n_emitters": 2, "n_photons": 0,
                 "instructions": [{"op": "cz", "emitter": 0, "other": 1,
@@ -344,6 +372,46 @@ def test_malformed_numeric_argument_exits_2(tmp_path, capsys, argv):
     assert "Traceback" not in err
     assert "edge weight" not in err
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("argv,code", [
+    pytest.param(("protocol", "verify", "--protocol", "linear", "--d", "1"),
+                 2, id="protocol-d-1"),
+    pytest.param(("protocol", "verify", "--protocol", "linear", "--n", "0"),
+                 2, id="protocol-n-0"),
+    pytest.param(("protocol", "verify", "--protocol", "six-ring", "--d", "9"),
+                 5, id="protocol-d-9"),
+    pytest.param(("protocol", "run", "--protocol", "six-ring", "--d", "4",
+                  "--cap", "100"), 5, id="protocol-cap-100"),
+    pytest.param(("fusion", "--d", "1"), 2, id="fusion-d-1"),
+    pytest.param(("fusion", "--d", "2", "--trials", "0"), 2,
+                 id="fusion-trials-0"),
+    pytest.param(("compare", "--d", "1"), 2, id="compare-d-1"),
+    pytest.param(("budget", "--qi", "nan"), 2, id="budget-qi-nan"),
+    pytest.param(("budget", "--sweep", "Qi=1e5:1e6:bogus"), 2,
+                 id="budget-bad-sweep"),
+    pytest.param(("budget", "--program", "{trace}", "--table", "single"), 2,
+                 id="budget-single-table-cz"),
+    pytest.param(("budget", "--program", "{trace}", "--table", "{table}"), 2,
+                 id="budget-table-without-cz"),
+    pytest.param(("spectrum", "--device", "single",
+                  "--spectator", "strong-fixed"), 2,
+                 id="spectrum-single-strong-fixed"),
+])
+def test_rejected_command_makes_no_directory(tmp_path, capsys, argv, code):
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps(
+        {"program": pr.compile_six_ring(2).to_dict()}))
+    table = bg.sb2_table().to_dict()
+    del table["operations"]["cz"]
+    (tmp_path / "table.json").write_text(json.dumps(table))
+    argv = [a.format(trace=trace, table=tmp_path / "table.json")
+            for a in argv]
+    out = tmp_path / "not" / "yet"
+    assert run(*argv, "--output", str(out)) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "not").exists()
 
 
 # (command, flag, smallest valid value, a word the error message must hold);

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from qdonor import cli
 from qdonor import spins as sp
 
 
@@ -204,10 +205,12 @@ class TestTransitions:
         with pytest.raises(ValueError):
             sp.enumerate_transitions(double_spec, "optical")
 
-    def test_csv_format(self, single):
-        spec = sp.donor_spectrum(single)
-        csv = sp.enumerate_transitions(spec, "esr").to_csv()
-        header, first = csv.splitlines()[:2]
+    def test_csv_format(self, tmp_path):
+        # the CLI owns the CSV format; its defaults are SpinParams()
+        assert cli.main(["spectrum", "--device", "single", "--kind", "esr",
+                         "--output", str(tmp_path)]) == 0
+        csv = (tmp_path / "transitions.csv").read_text()
+        header, first = csv.splitlines()[1:3]
         assert header == "from_label,to_label,frequency_MHz"
         assert len(first.split(",")) == 3
 
@@ -297,6 +300,11 @@ class TestSensitivity:
     def test_unknown_parameter_rejected(self, single):
         with pytest.raises(ValueError):
             sp.sensitivity_sweep(single, [("A_s", 1.0, "absolute")])
+
+    @pytest.mark.parametrize("mode", ["relativ", "Absolute", "", None])
+    def test_unknown_mode_rejected(self, single, mode):
+        with pytest.raises(ValueError, match=f"mode {mode!r}"):
+            sp.sensitivity_sweep(single, [("B0", 1e-3, mode)])
 
     def test_double_donor_sweep(self, double):
         out = sp.sensitivity_sweep(
