@@ -244,13 +244,18 @@ def _load_program(path):
 
 
 def _parse_sweep(expr):
-    name, rest = expr.split("=", 1)
+    bad = ValueError(f"bad --sweep {expr!r}; expected "
+                     "name=start:stop:scale[:points], points an integer")
+    name, _, rest = expr.partition("=")
     parts = rest.split(":")
     if len(parts) not in (3, 4):
-        raise ValueError(f"bad sweep spec {expr!r}; "
-                         "expected name=start:stop:scale[:points]")
-    start, stop, scale = float(parts[0]), float(parts[1]), parts[2]
-    points = int(parts[3]) if len(parts) == 4 else 11
+        raise bad
+    try:
+        start, stop = float(parts[0]), float(parts[1])
+        points = int(parts[3]) if len(parts) == 4 else 11
+    except ValueError:
+        raise bad from None
+    scale = parts[2]
     if points < 1:
         raise ValueError(f"a sweep needs at least one point, got {points}")
     if scale == "log10":
@@ -377,10 +382,19 @@ def build_parser():
     return p
 
 
+def _check_output(path):
+    """Refuse, before any work, an --output that cannot become a directory:
+    the nearest existing path along it must be one."""
+    existing = next((p for p in (path, *path.parents) if p.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise ValueError(f"--output {path}: {existing} is not a directory")
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_output(Path(args.output))
         return args.func(args)
     except sp.LabelingAmbiguityError as exc:
         print(f"error: {exc}", file=sys.stderr)

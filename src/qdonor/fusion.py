@@ -149,22 +149,45 @@ class FusionOutcome:
         }
 
 
+def _require_chain(reg):
+    """Raise unless ``reg`` holds the canonical n-chain graph state |C>, up
+    to a global phase, with n >= 4; return (n, d).
+
+    One pass over a copy: undoing the chain's CZ edges turns |C> into the
+    uniform product state |G>, so subtracting the mean amplitude leaves
+    U^dag(psi - <C|psi> C) for the unitary U of the edges.  Its norm must be
+    at most ``STABILIZER_ATOL / 2``.  Because S_v C = C, every stabilizer
+    deviation ||(S_v - 1) psi|| is at most twice that norm, so a register
+    accepted here also passes ``stabilizer_verify`` against the chain.
+    """
+    n = reg.n_subsystems
+    check_fusable_chain(n)
+    d = reg.radices[0]
+    if reg.radices != (d,) * n:
+        raise ValueError(f"a chain to fuse needs one dimension throughout, "
+                         f"got radices {reg.radices}")
+    plus = reg.amps.copy()
+    for v in range(n - 1):
+        sv._cz_phase(plus, v, v + 1, -1)
+    plus -= plus.mean()
+    if np.linalg.norm(plus) > gm.STABILIZER_ATOL / 2:
+        raise ValueError("register does not verify against the linear chain")
+    return n, d
+
+
 def fuse_chain_ends(reg, outcome=(0, 0), seed=None):
     """Fuse the end photons of a verified linear chain.
 
-    The register must hold a canonical n-chain graph state (this is checked;
-    byproduct-carrying states should be corrected first).  The chosen Bell
-    outcome is projected out of the first and last qudits, both are removed,
-    and the result is verified against the contracted chain graph by a
-    depth-2 local-correction search.  With a seed, the attempt count of the
-    non-deterministic physical gate is sampled from the geometric law as
-    bookkeeping.
+    The register must hold a canonical n-chain graph state, up to a global
+    phase; this is checked once per call, to half the stabilizer tolerance
+    (see ``_require_chain``), and byproduct-carrying states should be
+    corrected first.  The chosen Bell outcome is projected out of the first
+    and last qudits, both are removed, and the result is verified against
+    the contracted chain graph by a depth-2 local-correction search.  With
+    a seed, the attempt count of the non-deterministic physical gate is
+    sampled from the geometric law as bookkeeping.
     """
-    n = reg.n_subsystems
-    d = reg.radices[0]
-    chain = gm.make_linear(n, d)
-    if not gm.stabilizer_verify(reg, chain).passed:
-        raise ValueError("register does not verify against the linear chain")
+    n, d = _require_chain(reg)
     prob, collapsed = project_pair(reg, 0, n - 1, outcome[0], outcome[1])
     target = fused_chain_graph(n, d)
     attempts = None

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -381,11 +382,16 @@ class ExecutionTrace:
 
 def _checksum(reg):
     """SHA-256 of the int64 radices and the amplitudes rounded to 12
-    decimals, in C order.  Rounding the float64 view rounds the real and
-    imaginary parts exactly as rounding the complex array does."""
+    decimals, in C order, after checking the state's norm to NORM_ATOL.
+    Both read one C-ordered float64 view: its dot with itself is the squared
+    norm, and rounding it rounds the real and imaginary parts exactly as
+    rounding the complex array does."""
+    flat = np.ascontiguousarray(reg.amps).reshape(-1).view(np.float64)
+    norm = math.sqrt(flat @ flat)
+    if abs(norm - 1.0) > sv.NORM_ATOL:
+        raise ValueError(f"state norm drifted to {norm}")
     h = hashlib.sha256()
     h.update(np.asarray(reg.radices, dtype=np.int64).tobytes())
-    flat = np.ascontiguousarray(reg.amps).reshape(-1).view(np.float64)
     h.update(np.round(flat, 12))
     return h.hexdigest()
 
@@ -436,7 +442,6 @@ def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
         if checksums and ins.op in ("idle", "measure"):
             checksums.append(checksums[-1])
         else:
-            reg.check_norm()
             checksums.append(_checksum(reg))
     final = reg
 

@@ -75,12 +75,6 @@ class Register:
     def copy(self):
         return Register(self.radices, self.amps.copy(), self.cap)
 
-    def check_norm(self):
-        n = self.norm()
-        if abs(n - 1.0) > NORM_ATOL:
-            raise ValueError(f"state norm drifted to {n}")
-        return self
-
     # -- serialization --------------------------------------------------
 
     def to_dict(self):

@@ -374,6 +374,34 @@ def test_malformed_numeric_argument_exits_2(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("spec", ["Qi", "Qi=1:2:lin:x", "Qi=1:x:lin"])
+def test_malformed_sweep_names_the_form(tmp_path, capsys, spec):
+    assert run("budget", "--sweep", spec,
+               "--output", str(tmp_path / "o")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--sweep" in err and "name=start:stop:scale[:points]" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub/dir"], ids=["file", "under-file"])
+def test_output_naming_a_file_exits_2_before_any_work(
+        tmp_path, capsys, monkeypatch, below):
+    def no_work(*args, **kwargs):
+        raise AssertionError("executed despite an unusable --output")
+
+    monkeypatch.setattr(pr, "execute", no_work)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept")
+    out = blocker / below if below else blocker
+    assert run("protocol", "verify", "--protocol", "six-ring", "--d", "5",
+               "--output", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --output") and err.count("\n") == 1
+    assert blocker.read_text() == "kept"
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
 @pytest.mark.parametrize("argv,code", [
     pytest.param(("protocol", "verify", "--protocol", "linear", "--d", "1"),
                  2, id="protocol-d-1"),

@@ -4,9 +4,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdonor import fusion as fu
 from qdonor import graphs as gm
+from qdonor import protocols as pr
+from qdonor import statevec as sv
 
 
 class TestSuccessProbability:
@@ -134,6 +138,107 @@ class TestChainFusion:
         a = fu.fuse_chain_ends(reg, seed=5)
         b = fu.fuse_chain_ends(reg, seed=5)
         assert a.attempts == b.attempts is not None
+
+
+def chain_state(n, d):
+    return gm.build_graph_state(gm.make_linear(n, d))
+
+
+chain_sizes = st.tuples(st.integers(4, 7), st.sampled_from([2, 3, 4]))
+
+
+class TestChainCheck:
+    """The one-pass chain check in front of ``fuse_chain_ends``: the CZ
+    edges undone, then the distance from the uniform state."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(chain_sizes, st.floats(0, 2 * np.pi))
+    def test_canonical_chain_is_accepted_up_to_phase(self, size, theta):
+        n, d = size
+        reg = chain_state(n, d)
+        assert fu._require_chain(reg) == (n, d)
+        turned = sv.Register(reg.radices, np.exp(1j * theta) * reg.amps)
+        assert fu._require_chain(turned) == (n, d)
+
+    @settings(max_examples=8, deadline=None)
+    @given(chain_sizes)
+    def test_corrected_protocol_chains_are_accepted(self, size):
+        n, d = size
+        trace = pr.execute(pr.compile_linear(d, n), enumerate_all=True)
+        graph, order = pr.target_graph("linear", d, n)
+        report = pr.verify_against_target(trace, graph, order)
+        assert report.passed
+        for br, res in zip(trace.branches, report.branches):
+            chain = gm.apply_correction(br.photons, res.correction)
+            assert fu._require_chain(chain) == (n, d)
+
+    @settings(max_examples=25, deadline=None)
+    @given(chain_sizes, st.data())
+    def test_local_pauli_byproduct_is_rejected(self, size, data):
+        n, d = size
+        v = data.draw(st.integers(0, n - 1))
+        a, b = data.draw(st.tuples(st.integers(0, d - 1),
+                                   st.integers(0, d - 1))
+                         .filter(lambda ab: ab != (0, 0)))
+        reg = sv.apply_pauli_power(chain_state(n, d), v, "Z", b)
+        reg = sv.apply_pauli_power(reg, v, "X", a)
+        with pytest.raises(ValueError, match="does not verify"):
+            fu.fuse_chain_ends(reg)
+
+    @settings(max_examples=25, deadline=None)
+    @given(chain_sizes, st.data())
+    def test_other_weighted_graphs_are_rejected(self, size, data):
+        n, d = size
+        chain = gm.make_linear(n, d).matrix()
+        upper = data.draw(st.lists(st.integers(0, d - 1),
+                                   min_size=n * (n - 1) // 2,
+                                   max_size=n * (n - 1) // 2))
+        m = np.zeros((n, n), dtype=int)
+        m[np.triu_indices(n, 1)] = upper
+        m = m + m.T
+        if np.array_equal(m, chain):
+            m[0, n - 1] = m[n - 1, 0] = 1
+        reg = gm.build_graph_state(gm.GraphSpec.from_matrix(d, m))
+        with pytest.raises(ValueError, match="does not verify"):
+            fu.fuse_chain_ends(reg)
+
+    @settings(max_examples=40, deadline=None)
+    @given(chain_sizes, st.floats(-13, -8), st.integers(0, 2**32 - 1))
+    def test_accepted_noisy_chain_passes_the_stabilizer_check(
+            self, size, log_eps, seed):
+        n, d = size
+        eps = 10.0 ** log_eps
+        rng = np.random.default_rng(seed)
+        reg = chain_state(n, d)
+        noise = (rng.standard_normal(reg.amps.shape)
+                 + 1j * rng.standard_normal(reg.amps.shape))
+        noisy = sv.Register(reg.radices,
+                            reg.amps + eps * noise / np.linalg.norm(noise))
+        try:
+            fu._require_chain(noisy)
+        except ValueError as exc:
+            assert "does not verify" in str(exc)
+            # the part of the noise off the chain is at most eps
+            assert eps > gm.STABILIZER_ATOL / 2
+        else:
+            # random noise lies mostly off the chain: only a small eps passes
+            assert eps < gm.STABILIZER_ATOL
+            assert gm.stabilizer_verify(noisy, gm.make_linear(n, d)).passed
+
+    @pytest.mark.parametrize("radices", [(2, 3, 2, 2), (3, 3, 3, 2),
+                                         (4, 4, 2, 4, 4)])
+    def test_mixed_radices_are_rejected(self, radices):
+        reg = sv.init_register(radices, (0,) * len(radices))
+        with pytest.raises(ValueError, match="one dimension"):
+            fu.fuse_chain_ends(reg)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_short_chain_is_rejected(self, n):
+        # a chain needs two vertices, so n=1 is one plus state
+        reg = chain_state(n, 3) if n > 1 else sv.apply_fourier(
+            sv.init_register((3,), (0,)), 0)
+        with pytest.raises(ValueError, match="at least 4"):
+            fu.fuse_chain_ends(reg)
 
 
 class TestBellStates:

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import inspect
 import json
+import math
 import re
 import tracemalloc
 
@@ -322,7 +323,10 @@ def reference_execute(program):
             measures.append(ins.emitter)
             checksums.append(checksums[-1] if checksums else checksum(reg))
             continue
-        reg.check_norm()
+        flat = np.ascontiguousarray(reg.amps).reshape(-1).view(np.float64)
+        norm = math.sqrt(flat @ flat)
+        if abs(norm - 1.0) > sv.NORM_ATOL:
+            raise ValueError(f"state norm drifted to {norm}")
         checksums.append(checksum(reg))
     branches = [((), 1.0, reg)]
     for k, emitter in enumerate(measures):
@@ -356,6 +360,17 @@ class TestInPlaceExecution:
             for digest in pr.execute(prog).checksums)
         assert hashlib.sha256(joined.encode()).hexdigest() == (
             "dc55449b249ad8a0160bec6ebf158c78c77d54d17c51dfb962a5087fe7f165b7")
+
+    def test_norm_guard_stops_a_drifting_state(self, monkeypatch):
+        cz = sv._cz_phase
+
+        def drifting(amps, i, j, weight):
+            cz(amps, i, j, weight)
+            amps *= 1 + 1e-6
+
+        monkeypatch.setattr(sv, "_cz_phase", drifting)
+        with pytest.raises(ValueError, match="norm drifted"):
+            pr.execute(pr.compile_six_ring(2))
 
     @settings(max_examples=100, deadline=None)
     @given(valid_programs())
