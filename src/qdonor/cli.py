@@ -12,6 +12,7 @@ first file written, so a command that exits 2, 3 or 5 leaves nothing behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -334,7 +335,6 @@ def build_parser():
     s.add_argument("--kind", choices=("esr", "nmr", "edsr"), default="esr")
     s.add_argument("--spectator", choices=sorted(_SPECTATORS), default="none")
     s.add_argument("--output", default=".")
-    s.set_defaults(func=cmd_spectrum)
 
     s = sub.add_parser("protocol", help="compile, run, verify protocols")
     s.add_argument("mode", choices=("run", "verify"))
@@ -353,7 +353,6 @@ def build_parser():
     s.add_argument("--cap", type=int, default=None,
                    help="override the amplitude-count cap")
     s.add_argument("--output", default=".")
-    s.set_defaults(func=cmd_protocol)
 
     s = sub.add_parser("fusion", help="fusion probabilities and chain fusion")
     s.add_argument("--d", type=int, required=True)
@@ -361,14 +360,12 @@ def build_parser():
     s.add_argument("--trials", type=int, default=100000)
     s.add_argument("--seed", type=int, default=DEFAULT_SEED)
     s.add_argument("--output", default=".")
-    s.set_defaults(func=cmd_fusion)
 
     s = sub.add_parser("compare", help="fusion vs coupled-emitter schemes")
     s.add_argument("--d", type=int, required=True)
     s.add_argument("--target", choices=("ring6", "ladder23"),
                    default="ring6")
     s.add_argument("--output", default=".")
-    s.set_defaults(func=cmd_compare)
 
     s = sub.add_parser("budget", help="loss model and timing budgets")
     s.add_argument("--program", help="program or trace JSON file")
@@ -378,7 +375,6 @@ def build_parser():
                    help="override the internal quality factor")
     s.add_argument("--sweep", help="e.g. Qi=1e5:1e6:log10[:points]")
     s.add_argument("--output", default=".")
-    s.set_defaults(func=cmd_budget)
     return p
 
 
@@ -390,12 +386,20 @@ def _check_output(path):
         raise ValueError(f"--output {path}: {existing} is not a directory")
 
 
+@functools.cache
+def _parser():
+    """The parser main reuses: built on the first call, never at import."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and return its exit code; safe to call repeatedly
+    in one process.  The subcommand is looked up by name on each call, so a
+    replaced ``cmd_*`` attribute is the one that runs."""
+    args = _parser().parse_args(argv)
     try:
         _check_output(Path(args.output))
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except sp.LabelingAmbiguityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_AMBIGUITY

@@ -87,16 +87,18 @@ class Instruction:
     duration: float | None = None      # idle, in microseconds
 
     def __post_init__(self):
-        spec = OPS.get(self.op)
-        if spec is None:
+        checks = _FIELD_CHECKS.get(self.op)
+        if checks is None:
             raise ValueError(f"unknown instruction tag {self.op!r}")
-        for f in dataclasses.fields(self)[1:]:     # every field after op
-            val, typ = getattr(self, f.name), spec.fields.get(f.name)
-            if val is None and typ is not None and f.name not in spec.optional:
-                raise ValueError(f"{self.op} instruction needs {f.name!r}")
-            if val is not None and not _has_type(val, typ):
+        for name, typ, required in checks:
+            val = getattr(self, name)
+            if val is None:
+                if required:
+                    raise ValueError(f"{self.op} instruction needs {name!r}")
+            elif not _has_type(val, typ):
                 raise ValueError(
-                    f"{self.op} instruction cannot have {f.name}={val!r}")
+                    f"{self.op} instruction cannot have {name}={val!r}")
+        spec = OPS[self.op]
         if self.duration is not None and self.duration < 0:
             raise ValueError(f"negative idle duration {self.duration}")
         if self.levels is not None and len(self.levels) < 2:
@@ -113,23 +115,41 @@ class Instruction:
 
     def to_dict(self):
         out = {}
-        for f in dataclasses.fields(self):
-            val = getattr(self, f.name)
+        for name in _FIELD_NAMES:
+            val = getattr(self, name)
             if val is not None:
-                out[f.name] = list(val) if isinstance(val, tuple) else val
+                out[name] = list(val) if isinstance(val, tuple) else val
         return out
 
     @classmethod
     def from_dict(cls, obj):
         if not isinstance(obj, dict):
             raise ValueError(f"instruction must be an object, got {obj!r}")
-        extra = sorted(set(obj) - {f.name for f in dataclasses.fields(cls)})
+        extra = sorted(set(obj) - _KEYS)
         if extra:
             raise ValueError(f"instruction has no field {extra[0]!r}")
         kw = dict(obj)
         if isinstance(kw.get("levels"), list):
             kw["levels"] = tuple(kw["levels"])
         return cls(kw.pop("op", None), **kw)
+
+
+# Every instruction built, serialised or loaded reads these, so they are
+# built once, here, from the dataclass fields, OPS and _INDEX_BOUNDS.
+# _FIELD_NAMES keeps declaration order, which is to_dict's key order.
+# _FIELD_CHECKS holds, per tag, (name, type, required) for every field after
+# op; the type is None for a field the tag does not carry.  _BOUNDED holds,
+# per tag, the (index field, Program header entry) pairs that bound it.
+_FIELD_NAMES = tuple(f.name for f in dataclasses.fields(Instruction))
+_KEYS = frozenset(_FIELD_NAMES)
+_FIELD_CHECKS = {
+    op: tuple((name, spec.fields.get(name),
+               name in spec.fields and name not in spec.optional)
+              for name in _FIELD_NAMES[1:])
+    for op, spec in OPS.items()}
+_BOUNDED = {op: tuple((name, bound) for name, bound in _INDEX_BOUNDS.items()
+                      if name in spec.fields)
+            for op, spec in OPS.items()}
 
 
 def fourier(emitter, levels=None):
@@ -181,7 +201,7 @@ class Program:
         seen_measure = set()
         bins_seen = {}
         for ins in self.instructions:
-            for name, bound in _INDEX_BOUNDS.items():
+            for name, bound in _BOUNDED[ins.op]:
                 val = getattr(ins, name)
                 vals = val if isinstance(val, tuple) else (val,)
                 limit = getattr(self, bound)

@@ -17,6 +17,8 @@ from hypothesis import strategies as st
 
 from qdonor import budget as bg
 from qdonor import cli
+from qdonor import fusion as fu
+from qdonor import graphs as gm
 from qdonor import protocols as pr
 from qdonor import spins as sp
 
@@ -576,3 +578,95 @@ class TestDeterminism:
                             sort_keys=True).encode())
         assert h.hexdigest() == (
             "a1026f189f8e95ed790721d7245092c6d800e45f608f4cb2103e1f8d9eec0f50")
+
+
+# Every subcommand, then --version, an argparse error, a ValueError input and
+# a cap overflow, then normal calls again; paths are relative to the working
+# directory, so the messages of two runs in two directories agree.
+_REUSE_CALLS = [
+    ("spectrum", "--device", "double", "--kind", "edsr", "--spectator",
+     "weak-fixed", "--output", "spectrum"),
+    ("protocol", "verify", "--protocol", "linear", "--d", "3", "--n", "2",
+     "--output", "verify"),
+    ("protocol", "run", "--protocol", "six-ring", "--d", "2", "--seed", "5",
+     "--output", "run"),
+    ("budget", "--program", "run/trace.json", "--table", "sb2", "--sweep",
+     "Qi=1e5:1e6:log10:3", "--output", "budget"),
+    ("fusion", "--d", "3", "--chain-n", "4", "--trials", "500",
+     "--output", "fusion"),
+    ("compare", "--d", "3", "--target", "ladder23", "--output", "compare"),
+    ("--version",),
+    ("protocol", "run", "--protocol", "ring", "--output", "argparse"),
+    ("fusion", "--d", "1", "--output", "input"),
+    ("protocol", "run", "--protocol", "six-ring", "--d", "4", "--cap", "100",
+     "--output", "cap"),
+    ("compare", "--d", "2", "--output", "compare-again"),
+    ("spectrum", "--device", "single", "--kind", "nmr",
+     "--output", "spectrum-again"),
+]
+
+
+def _tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestParserReuse:
+    def _calls(self, capsys, calls, fresh):
+        """(exit code, stdout, stderr) per call; with ``fresh``, each call
+        builds its own parser."""
+        results = []
+        for argv in calls:
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:       # argparse's own exits
+                code = exc.code
+            results.append((code, *capsys.readouterr()))
+        return results
+
+    def test_reused_parser_matches_a_fresh_one(self, tmp_path, capsys,
+                                               monkeypatch):
+        built, compares = [], []
+        build, cmd_compare = cli.build_parser, cli.cmd_compare
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or build())
+        reused, fresh = tmp_path / "reused", tmp_path / "fresh"
+        reused.mkdir()
+        fresh.mkdir()
+
+        monkeypatch.chdir(reused)
+        cli._parser.cache_clear()
+        got = self._calls(capsys, _REUSE_CALLS[:1], fresh=False)
+        # installed after the parser is built, and still the one that runs
+        monkeypatch.setattr(cli, "cmd_compare",
+                            lambda args: compares.append(args.d)
+                            or cmd_compare(args))
+        got += self._calls(capsys, _REUSE_CALLS[1:], fresh=False)
+        assert len(built) == 1
+        assert compares == [3, 2]
+
+        monkeypatch.chdir(fresh)
+        want = self._calls(capsys, _REUSE_CALLS, fresh=True)
+        assert len(built) == 1 + len(_REUSE_CALLS)
+        assert [g[0] for g in got] == [0, 0, 0, 0, 0, 0, 0, 2, 2, 5, 0, 0]
+        assert got == want
+        assert _tree_bytes(reused) == _tree_bytes(fresh)
+
+
+def test_only_the_cli_prints(capsys):
+    # The library returns what it finds and leaves stdout and stderr to the
+    # CLI, whose summary line a caller may take as the last line printed.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pr.execute(pr.compile_six_ring(2), seed=3)
+        trace = pr.execute(pr.compile_six_ring(2), enumerate_all=True)
+        graph, order = pr.target_graph("six-ring", 2)
+        assert pr.verify_against_target(trace, graph, order).passed
+        chain = gm.build_graph_state(gm.make_linear(4, 3))
+        assert fu.fuse_chain_ends(chain, outcome=(1, 2)).success
+        for params in (sp.SpinParams(), sp.DoubleSpinParams()):
+            sp.donor_spectrum(params)
+        bg.timing_fidelity_budget(trace.program, bg.sb2_table())
+    assert capsys.readouterr() == ("", "")

@@ -1,5 +1,6 @@
 """Protocol compilation, execution, and target verification."""
 
+import dataclasses
 import functools
 import hashlib
 import inspect
@@ -172,6 +173,22 @@ def valid_programs(draw):
     return pr.Program(d, n_emitters, n_photons, tuple(ins))
 
 
+def reference_field_error(op, kw):
+    """The loop over ``dataclasses.fields`` that the import-time tables
+    replaced: the message of the first failing field, in field order, or
+    None when every field passes."""
+    spec = pr.OPS.get(op)
+    if spec is None:
+        return f"unknown instruction tag {op!r}"
+    for f in dataclasses.fields(pr.Instruction)[1:]:
+        val, typ = kw.get(f.name), spec.fields.get(f.name)
+        if val is None and typ is not None and f.name not in spec.optional:
+            return f"{op} instruction needs {f.name!r}"
+        if val is not None and not pr._has_type(val, typ):
+            return f"{op} instruction cannot have {f.name}={val!r}"
+    return None
+
+
 class TestInstructionTable:
     def test_every_tag_validates_executes_and_budgets(self):
         prog = one_of_every_tag()
@@ -190,6 +207,59 @@ class TestInstructionTable:
             0.998 * 0.995**3 * 0.998**3 * 0.90**2, rel=1e-12)
         with pytest.raises(KeyError, match="cz"):
             bg.timing_fidelity_budget(prog, bg.single_donor_table())
+
+    def test_import_time_tables_match_their_sources(self):
+        names = [f.name for f in dataclasses.fields(pr.Instruction)]
+        assert names[0] == "op"
+        assert pr._FIELD_NAMES == tuple(names)
+        assert pr._KEYS == set(names)
+        # a tag may name only dataclass fields, every field after op belongs
+        # to some tag, and each bound is a Program header entry
+        carried = set()
+        for spec in pr.OPS.values():
+            assert set(spec.optional) | set(spec.distinct) <= set(spec.fields)
+            carried |= set(spec.fields)
+        assert carried == set(names[1:])
+        assert set(pr._INDEX_BOUNDS) <= carried
+        assert set(pr._INDEX_BOUNDS.values()) <= {
+            f.name for f in dataclasses.fields(pr.Program)}
+        assert set(pr._FIELD_CHECKS) == set(pr._BOUNDED) == set(pr.OPS)
+        for op, spec in pr.OPS.items():
+            checks = []
+            for name in names[1:]:
+                typ = spec.fields.get(name)
+                checks.append((name, typ, typ is not None
+                               and name not in spec.optional))
+            assert pr._FIELD_CHECKS[op] == tuple(checks)
+            assert pr._BOUNDED[op] == tuple(
+                (name, bound) for name, bound in pr._INDEX_BOUNDS.items()
+                if name in spec.fields)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([*pr.OPS, "bogus"]),
+           st.dictionaries(
+               st.sampled_from(
+                   [f.name for f in dataclasses.fields(pr.Instruction)[1:]]),
+               st.none() | st.booleans() | st.integers(-2, 4)
+               | st.floats(-1, 4) | st.tuples(st.integers(0, 3))
+               | st.tuples(st.integers(0, 3), st.integers(0, 3))
+               | st.just("x")))
+    def test_field_checks_match_a_loop_over_the_fields(self, op, kw):
+        want = reference_field_error(op, kw)
+        try:
+            ins = pr.Instruction(op, **kw)
+        except ValueError as exc:
+            if want is None:     # a field passed; a later check refused
+                assert re.match("negative idle|a level subset|.* repeats",
+                                str(exc))
+            else:
+                assert str(exc) == want
+            return
+        assert want is None
+        assert list(ins.to_dict().items()) == [
+            (f.name, list(v) if isinstance(v, tuple) else v)
+            for f in dataclasses.fields(pr.Instruction)
+            if (v := getattr(ins, f.name)) is not None]
 
     def test_execute_has_one_branch_per_tag(self):
         branches = re.findall(r'ins\.op == "(\w+)"',
