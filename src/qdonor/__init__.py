@@ -11,12 +11,12 @@ from .statevec import (                                      # noqa: F401
     Register, MeasurementRecord, CapacityError,
     init_register, apply_fourier, apply_pauli_power, apply_permutation,
     apply_conditional_flip, apply_cz_power,
-    measure, enumerate_outcomes, bin_string, bin_index,
+    measure, enumerate_outcomes,
 )
 from .graphs import (                                        # noqa: F401
     GraphSpec, CorrectionSet, StabilizerReport,
     make_linear, make_ring, make_ladder, build_graph_state,
-    stabilizer_verify, local_correction_search, block_encoding_map,
+    stabilizer_verify, local_correction_search,
 )
 from .protocols import (                                     # noqa: F401
     Instruction, Program, ExecutionTrace, VerificationReport,

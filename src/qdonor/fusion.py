@@ -166,11 +166,11 @@ def _require_chain(reg):
     if reg.radices != (d,) * n:
         raise ValueError(f"a chain to fuse needs one dimension throughout, "
                          f"got radices {reg.radices}")
-    plus = reg.amps.copy()
+    plus = reg.copy()
     for v in range(n - 1):
-        sv._cz_phase(plus, v, v + 1, -1)
-    plus -= plus.mean()
-    if np.linalg.norm(plus) > gm.STABILIZER_ATOL / 2:
+        sv.apply_cz_power(plus, v, v + 1, -1)
+    plus.amps -= plus.amps.mean()
+    if np.linalg.norm(plus.amps) > gm.STABILIZER_ATOL / 2:
         raise ValueError("register does not verify against the linear chain")
     return n, d
 

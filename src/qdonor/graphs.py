@@ -9,7 +9,6 @@ deterministic local-correction search.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -110,7 +109,7 @@ def build_graph_state(g):
     for v in range(g.n):
         reg = sv.apply_fourier(reg, v)
     for i, j, w in g.edges():
-        reg = sv.apply_cz_power(reg, i, j, w)
+        sv.apply_cz_power(reg, i, j, w)
     return reg
 
 
@@ -367,32 +366,3 @@ def _depth_first(fvec, p, k, screened, leaf):
                 return found
     fvec[p] = 0
     return None
-
-
-# -- block encoding --------------------------------------------------------
-
-
-def block_encoding_map(index, d):
-    """Big-endian binary expansion of a level index; d must be a power of two.
-
-    An 8-dimensional photon carries three qubits, so a 24-qubit resource
-    state fits in eight photonic qudits.
-    """
-    m = _log2_exact(d)
-    if not 0 <= index < d:
-        raise IndexError(f"index {index} out of range for d={d}")
-    return format(index, f"0{m}b")
-
-
-def block_encoding_index(bits, d):
-    m = _log2_exact(d)
-    if len(bits) != m or set(bits) - {"0", "1"}:
-        raise ValueError(f"expected {m} binary digits, got {bits!r}")
-    return int(bits, 2)
-
-
-def _log2_exact(d):
-    m = int(round(math.log2(d)))
-    if 2**m != d:
-        raise ValueError(f"d={d} is not a power of two")
-    return m

@@ -422,7 +422,7 @@ def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
     Measurement instructions must come last (the Program invariant), so the
     unitary prefix runs once and the readout branches share it.  The
     register is execute's own: permutations, flips, emissions and CZ update
-    it in place, with the kernels behind the public ``statevec`` gates.
+    it in place.
     """
     d, ne = program.d, program.n_emitters
     reg = sv.init_register(
@@ -434,26 +434,26 @@ def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
     for ins in program.instructions:
         if (ins.op in ("permute", "edsr", "emit")
                 and not reg.amps.flags.c_contiguous):
-            # the public gates return C-ordered copies, and the readout sums
-            # in memory order: keep their layout so probabilities match
+            # the readout sums probabilities in memory order: a C-ordered
+            # register after these gates fixes that order, and so the
+            # probability bytes that verification.json reports
             reg = reg.copy()
         if ins.op == "fourier":
             reg = sv.apply_fourier(reg, ins.emitter, ins.levels)
         elif ins.op == "permute":
-            sv._permute_levels(reg.amps, ins.emitter, ins.a, ins.b)
+            sv.apply_permutation(reg, ins.emitter, ins.a, ins.b)
         elif ins.op == "edsr":
-            sv._flip_on_level(reg.amps, (ins.emitter, ins.control_level),
-                              electron)
+            sv.apply_conditional_flip(
+                reg, (ins.emitter, ins.control_level), electron)
         elif ins.op == "emit":
             if ins.photon not in photon_axis:
                 reg, axis = sv.add_photon(reg, d)
                 photon_axis[ins.photon] = axis
-            sv._emit_into(reg.amps, photon_axis[ins.photon], ins.bin,
-                          electron)
+            sv.apply_emission(reg, photon_axis[ins.photon], ins.bin, electron)
             if ins.bin == d - 1:
                 reg = sv.finalize_photon(reg, photon_axis[ins.photon])
         elif ins.op == "cz":
-            sv._cz_phase(reg.amps, ins.emitter, ins.other, ins.weight)
+            sv.apply_cz_power(reg, ins.emitter, ins.other, ins.weight)
         elif ins.op == "idle":
             pass
         elif ins.op == "measure":

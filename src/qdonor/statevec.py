@@ -16,11 +16,18 @@ Conventions
   photon sits in time-bin k".  While a photon is still being emitted it
   carries one extra level (index d) representing the vacuum; call
   :func:`finalize_photon` after the last bin to contract it away.
+
+Gates
+-----
+The four pulse primitives, :func:`apply_permutation`,
+:func:`apply_conditional_flip`, :func:`apply_emission` and
+:func:`apply_cz_power`, update ``reg.amps`` in place, keep its memory layout
+and return None.  :func:`apply_fourier` and :func:`apply_pauli_power`
+allocate anyway, so they return a new register and leave their input alone.
 """
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -161,21 +168,6 @@ def apply_fourier(reg, subsystem, levels=None):
     return _apply_matrix(reg, subsystem, subset_matrix(radix, levels, block))
 
 
-def pauli_x_matrix(d, power=1):
-    """X^p with X|k> = |k+1 mod d>."""
-    m = np.zeros((d, d), dtype=np.complex128)
-    for k in range(d):
-        m[(k + power) % d, k] = 1.0
-    return m
-
-
-def pauli_z_matrix(d, power=1):
-    """Z^p with Z|k> = omega^k |k>."""
-    omega = cmath.exp(2j * cmath.pi / d)
-    return np.diag([omega ** ((power * k) % d) for k in range(d)]).astype(
-        np.complex128)
-
-
 @functools.cache
 def _shift_index(d, shift):
     """Source levels of X^shift on a d-level axis, (k - shift) mod d for
@@ -252,34 +244,15 @@ def _swap(amps, a, b):
     amps[b] = held
 
 
-def _permute_levels(amps, subsystem, a, b):
-    """In-place kernel of :func:`apply_permutation`."""
+def apply_permutation(reg, subsystem, a, b):
+    """Swap the amplitudes of levels a and b (NMR pi-pulse idealization)."""
+    amps = reg.amps
     r = amps.shape[subsystem]
     if not (0 <= a < r and 0 <= b < r):
         raise IndexError(f"levels ({a},{b}) out of range for radix {r}")
     if a != b:
         _swap(amps, _at(amps.ndim, (subsystem, a)),
               _at(amps.ndim, (subsystem, b)))
-
-
-def apply_permutation(reg, subsystem, a, b):
-    """Swap the amplitudes of levels a and b (NMR pi-pulse idealization)."""
-    new = reg.copy()
-    _permute_levels(new.amps, subsystem, a, b)
-    return new
-
-
-def _flip_on_level(amps, control, target):
-    """In-place kernel of :func:`apply_conditional_flip`."""
-    csub, clevel = control
-    if csub == target:
-        raise ValueError("control subsystem equals target")
-    if amps.shape[target] != 2:
-        raise ValueError("flip target must have radix 2")
-    if not 0 <= clevel < amps.shape[csub]:
-        raise IndexError(f"control level {clevel} out of range")
-    _swap(amps, _at(amps.ndim, (csub, clevel), (target, ELECTRON_DOWN)),
-          _at(amps.ndim, (csub, clevel), (target, ELECTRON_UP)))
 
 
 def apply_conditional_flip(reg, control, target):
@@ -289,9 +262,16 @@ def apply_conditional_flip(reg, control, target):
     This is the ESR/EDSR pulse idealization: the paired nuclear change of a
     physical EDSR pulse is composed from this flip plus a permutation.
     """
-    new = reg.copy()
-    _flip_on_level(new.amps, control, target)
-    return new
+    amps = reg.amps
+    csub, clevel = control
+    if csub == target:
+        raise ValueError("control subsystem equals target")
+    if amps.shape[target] != 2:
+        raise ValueError("flip target must have radix 2")
+    if not 0 <= clevel < amps.shape[csub]:
+        raise IndexError(f"control level {clevel} out of range")
+    _swap(amps, _at(amps.ndim, (csub, clevel), (target, ELECTRON_DOWN)),
+          _at(amps.ndim, (csub, clevel), (target, ELECTRON_UP)))
 
 
 # -- photon emission ------------------------------------------------------
@@ -314,8 +294,14 @@ def photon_vacuum_level(reg, photon):
     return reg.radices[photon] - 1
 
 
-def _emit_into(amps, photon, bin, electron):
-    """In-place kernel of :func:`apply_emission`."""
+def apply_emission(reg, photon, bin, electron):
+    """Cavity exchange: |up, vac> -> |down, photon in bin>, spin-down idle.
+
+    ``electron`` is the axis of the emitting electron, which must have radix
+    2.  Models the resonant spin-cavity energy swap as an instantaneous map;
+    the emission duration is charged in the timing budget instead.
+    """
+    amps = reg.amps
     if amps.shape[electron] != 2:
         raise ValueError("emitting electron must have radix 2")
     vac = amps.shape[photon] - 1
@@ -331,18 +317,6 @@ def _emit_into(amps, photon, bin, electron):
     src = _at(amps.ndim, (electron, ELECTRON_UP), (photon, vac))
     amps[_at(amps.ndim, (electron, ELECTRON_DOWN), (photon, bin))] += amps[src]
     amps[src] = 0.0
-
-
-def apply_emission(reg, photon, bin, electron):
-    """Cavity exchange: |up, vac> -> |down, photon in bin>, spin-down idle.
-
-    ``electron`` is the axis of the emitting electron, which must have radix
-    2.  Models the resonant spin-cavity energy swap as an instantaneous map;
-    the emission duration is charged in the timing budget instead.
-    """
-    new = reg.copy()
-    _emit_into(new.amps, photon, bin, electron)
-    return new
 
 
 def finalize_photon(reg, photon):
@@ -361,8 +335,9 @@ def finalize_photon(reg, photon):
 # -- two-subsystem gates --------------------------------------------------
 
 
-def _cz_phase(amps, i, j, weight):
-    """In-place kernel of :func:`apply_cz_power`."""
+def apply_cz_power(reg, i, j, weight):
+    """Diagonal gate omega^{w k l} between equal-dimension subsystems."""
+    amps = reg.amps
     if i == j:
         raise ValueError("CZ needs two distinct subsystems")
     d = amps.shape[i]
@@ -380,14 +355,6 @@ def _cz_phase(amps, i, j, weight):
     view_shape[a] = d
     view_shape[b] = d
     amps *= phase.reshape(view_shape)
-
-
-def apply_cz_power(reg, i, j, weight):
-    """Diagonal gate omega^{w k l} between equal-dimension subsystems."""
-    # a copy in the input's memory layout, as the elementwise product gives
-    new = Register(reg.radices, reg.amps.copy(order="K"), reg.cap)
-    _cz_phase(new.amps, i, j, weight)
-    return new
 
 
 # -- measurement ----------------------------------------------------------
@@ -413,23 +380,18 @@ def _project(reg, subsystem, outcome, p):
 
 
 def _collapse(reg, subsystem, outcome, probs):
-    """:func:`collapse` with the outcome probabilities already computed."""
+    """Project onto one outcome, given the outcome probabilities; the
+    measured subsystem is consumed.
+
+    Returns (record, renormalised register without the measured axis);
+    errors on zero probability.
+    """
     p = float(probs[outcome])
     if p <= ZERO_PROBABILITY:
         raise ValueError(
             f"collapse onto zero-probability outcome {outcome} requested")
     return (MeasurementRecord(subsystem, int(outcome), p),
             _project(reg, subsystem, outcome, p))
-
-
-def collapse(reg, subsystem, outcome):
-    """Project onto one outcome; the measured subsystem is consumed.
-
-    Returns (record, renormalised register without the measured axis);
-    errors on zero probability.
-    """
-    return _collapse(reg, subsystem, outcome,
-                     outcome_probabilities(reg, subsystem))
 
 
 def measure(reg, subsystem, rng):
@@ -476,27 +438,3 @@ def overlap(reg_a, reg_b):
 
 def fidelity(reg_a, reg_b):
     return abs(overlap(reg_a, reg_b)) ** 2
-
-
-# -- time-bin one-hot strings ---------------------------------------------
-
-
-def bin_string(k, d):
-    """One-hot occupation string for a photon in bin k of d.
-
-    Note the appendix-style qubit labeling runs the other way: there the
-    two-bin strings are read as logical values with "10" = 1 and "01" = 0,
-    i.e. bin 0 carries logical 1.  This helper sticks to plain one-hot
-    encoding; callers wanting the logical value use ``d - 1 - k`` style maps
-    explicitly.
-    """
-    if not 0 <= k < d:
-        raise IndexError(f"bin {k} out of range for {d} bins")
-    return "".join("1" if i == k else "0" for i in range(d))
-
-
-def bin_index(s):
-    """Inverse of :func:`bin_string`; rejects strings that are not one-hot."""
-    if s.count("1") != 1 or set(s) - {"0", "1"}:
-        raise ValueError(f"not a one-hot string: {s!r}")
-    return s.index("1")

@@ -1,7 +1,9 @@
-"""Mixed-radix engine: gates, emission, measurement, encodings."""
+"""Mixed-radix engine: gates, emission, measurement, serialization."""
 
+import ast
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -15,13 +17,21 @@ def uniform(d):
     return np.full(d, 1 / np.sqrt(d), dtype=complex)
 
 
+def applied(gate, reg, *args):
+    """A copy of ``reg`` with the in-place ``gate`` run on it; ``reg`` is
+    left as it was."""
+    out = reg.copy()
+    assert gate(out, *args) is None
+    return out
+
+
 def edsr_then_emit(reg, photon, bin):
     """Flip the electron on donor level 0, then let the cavity take the
-    excitation into ``bin``: the pair ``protocols.execute`` runs for an
-    ``edsr`` instruction followed by an ``emit``.  Subsystem 0 is the donor
-    and 1 the electron."""
-    return sv.apply_emission(sv.apply_conditional_flip(reg, (0, 0), 1),
-                             photon, bin, 1)
+    excitation into ``bin``, both in place: the pair ``protocols.execute``
+    runs for an ``edsr`` instruction followed by an ``emit``.  Subsystem 0
+    is the donor and 1 the electron."""
+    sv.apply_conditional_flip(reg, (0, 0), 1)
+    sv.apply_emission(reg, photon, bin, 1)
 
 
 def gate_matrix(apply_fn, radices, subsystem):
@@ -132,11 +142,18 @@ class TestPauliPowers:
     @pytest.mark.parametrize("d,a,b", [(2, 1, 1), (3, 1, 2), (4, 3, 2),
                                        (5, 2, 2)])
     def test_weyl_commutation(self, d, a, b):
-        # explicit matrix oracle: Z^a X^b = omega^{ab} X^b Z^a
+        # Z^a X^b = omega^{ab} X^b Z^a, on random registers
         omega = np.exp(2j * np.pi / d)
-        x = sv.pauli_x_matrix(d, b)
-        z = sv.pauli_z_matrix(d, a)
-        assert np.allclose(z @ x, omega ** (a * b) * x @ z, atol=1e-12)
+        rng = np.random.default_rng(100 * d + 10 * a + b)
+        for _ in range(4):
+            amps = rng.normal(size=(d, 2)) + 1j * rng.normal(size=(d, 2))
+            reg = sv.Register([d, 2], amps / np.linalg.norm(amps))
+            zx = sv.apply_pauli_power(
+                sv.apply_pauli_power(reg, 0, "X", b), 0, "Z", a)
+            xz = sv.apply_pauli_power(
+                sv.apply_pauli_power(reg, 0, "Z", a), 0, "X", b)
+            assert np.allclose(zx.amps, omega ** (a * b) * xz.amps,
+                               atol=1e-12)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -149,7 +166,9 @@ class TestPermutation:
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         amps /= np.linalg.norm(amps)
         reg = sv.Register([4], amps)
-        out = sv.apply_permutation(sv.apply_permutation(reg, 0, 0, 2), 0, 0, 2)
+        out = applied(sv.apply_permutation, reg, 0, 0, 2)
+        assert not np.allclose(out.amps, reg.amps)
+        sv.apply_permutation(out, 0, 0, 2)
         assert np.allclose(out.amps, reg.amps)
 
     def test_branch_exchange_moves_emission_readiness(self):
@@ -158,42 +177,44 @@ class TestPermutation:
         reg = sv.init_register([2, 2], (0, 0))
         reg = sv.apply_fourier(reg, 0)
         reg, ph = sv.add_photon(reg, 2)
-        reg = edsr_then_emit(reg, ph, 0)
-        reg = sv.apply_permutation(reg, 0, 0, 1)
+        edsr_then_emit(reg, ph, 0)
+        sv.apply_permutation(reg, 0, 0, 1)
         # level 0 now carries the not-yet-emitted branch (photon in vacuum)
         assert abs(reg.amps[0, 0, 2]) == pytest.approx(1 / np.sqrt(2))
         assert abs(reg.amps[1, 0, 0]) == pytest.approx(1 / np.sqrt(2))
 
     def test_uniform_state_invariant(self):
         reg = sv.Register([3], uniform(3))
-        out = sv.apply_permutation(reg, 0, 0, 2)
+        out = applied(sv.apply_permutation, reg, 0, 0, 2)
         assert np.allclose(out.amps, reg.amps)
 
     def test_equal_levels_noop(self):
         reg = sv.Register([3], uniform(3))
-        assert np.allclose(sv.apply_permutation(reg, 0, 1, 1).amps, reg.amps)
+        out = applied(sv.apply_permutation, reg, 0, 1, 1)
+        assert np.allclose(out.amps, reg.amps)
 
 
 class TestConditionalFlip:
     def test_flips_only_control_branch(self):
         reg = sv.init_register([2, 2], (0, 0))
         reg = sv.apply_fourier(reg, 0)
-        out = sv.apply_conditional_flip(reg, (0, 0), 1)
+        sv.apply_conditional_flip(reg, (0, 0), 1)
         expect = np.zeros((2, 2), dtype=complex)
         expect[0, sv.ELECTRON_UP] = 1 / np.sqrt(2)
         expect[1, sv.ELECTRON_DOWN] = 1 / np.sqrt(2)
-        assert np.allclose(out.amps, expect)
+        assert np.allclose(reg.amps, expect)
 
     def test_involution(self):
         reg = sv.init_register([3, 2], (1, 0))
         reg = sv.apply_fourier(reg, 0)
-        out = sv.apply_conditional_flip(
-            sv.apply_conditional_flip(reg, (0, 1), 1), (0, 1), 1)
+        out = applied(sv.apply_conditional_flip, reg, (0, 1), 1)
+        assert not np.allclose(out.amps, reg.amps)
+        sv.apply_conditional_flip(out, (0, 1), 1)
         assert np.allclose(out.amps, reg.amps)
 
     def test_absent_control_level_is_identity(self):
         reg = sv.init_register([3, 2], (1, 0))
-        out = sv.apply_conditional_flip(reg, (0, 2), 1)
+        out = applied(sv.apply_conditional_flip, reg, (0, 2), 1)
         assert np.allclose(out.amps, reg.amps)
 
     def test_control_equals_target_rejected(self):
@@ -209,7 +230,7 @@ class TestEmission:
 
     def test_first_cycle_populates_only_top_branch(self):
         reg, ph = sv.add_photon(self.psi1, 3)
-        reg = edsr_then_emit(reg, ph, 0)
+        edsr_then_emit(reg, ph, 0)
         vac = sv.photon_vacuum_level(reg, ph)
         assert abs(reg.amps[0, 0, 0]) == pytest.approx(1 / np.sqrt(3))
         assert abs(reg.amps[1, 0, vac]) == pytest.approx(1 / np.sqrt(3))
@@ -218,17 +239,18 @@ class TestEmission:
     def test_emission_on_absent_level_is_identity(self):
         reg = sv.init_register([3, 2], (1, 0))
         reg, ph = sv.add_photon(reg, 3)
-        out = edsr_then_emit(reg, ph, 0)
+        out = reg.copy()
+        edsr_then_emit(out, ph, 0)
         assert np.allclose(out.amps, reg.amps)
 
     def test_full_inner_loop_correlates_bins_with_levels(self):
         # three cycles with interleaved permutations: one photon across
         # bins t1..t3, each bin paired with the branch that emitted it
         reg, ph = sv.add_photon(self.psi1, 3)
-        reg = edsr_then_emit(reg, ph, 0)
+        edsr_then_emit(reg, ph, 0)
         for b in (1, 2):
-            reg = sv.apply_permutation(reg, 0, 0, b)
-            reg = edsr_then_emit(reg, ph, b)
+            sv.apply_permutation(reg, 0, 0, b)
+            edsr_then_emit(reg, ph, b)
         reg = sv.finalize_photon(reg, ph)
         # the permutation ladder leaves the branch of bin k on level k+1 mod 3
         for k in range(3):
@@ -238,16 +260,19 @@ class TestEmission:
 
     def test_double_emission_same_branch_rejected(self):
         reg, ph = sv.add_photon(self.psi1, 3)
-        reg = edsr_then_emit(reg, ph, 0)
+        edsr_then_emit(reg, ph, 0)
         with pytest.raises(ValueError, match="already populated"):
             edsr_then_emit(reg, ph, 1)
 
     def test_emission_commutes_with_spectator_branch_gates(self):
         # a permutation confined to the non-emitting levels commutes with
         # the emission cycle
-        reg, ph = sv.add_photon(self.psi1, 3)
-        a = edsr_then_emit(sv.apply_permutation(reg, 0, 1, 2), ph, 0)
-        b = sv.apply_permutation(edsr_then_emit(reg, ph, 0), 0, 1, 2)
+        a, ph = sv.add_photon(self.psi1, 3)
+        b = a.copy()
+        sv.apply_permutation(a, 0, 1, 2)
+        edsr_then_emit(a, ph, 0)
+        edsr_then_emit(b, ph, 0)
+        sv.apply_permutation(b, 0, 1, 2)
         assert np.allclose(a.amps, b.amps, atol=1e-12)
 
     def test_electron_axis_must_be_a_qubit(self):
@@ -258,7 +283,7 @@ class TestEmission:
 
     def test_finalize_requires_empty_vacuum(self):
         reg, ph = sv.add_photon(self.psi1, 3)
-        reg = edsr_then_emit(reg, ph, 0)
+        edsr_then_emit(reg, ph, 0)
         with pytest.raises(ValueError, match="vacuum"):
             sv.finalize_photon(reg, ph)
 
@@ -268,14 +293,15 @@ class TestCZ:
         reg = sv.init_register([2] * 3, (0,) * 3)
         for q in range(3):
             reg = sv.apply_fourier(reg, q)
-        reg = sv.apply_cz_power(reg, 0, 1, 1)
-        reg = sv.apply_cz_power(reg, 1, 2, 1)
+        sv.apply_cz_power(reg, 0, 1, 1)
+        sv.apply_cz_power(reg, 1, 2, 1)
         signs = np.sign(np.real(reg.amps.reshape(-1) * np.sqrt(8)))
         assert list(signs) == [1, 1, 1, -1, 1, 1, -1, 1]
 
     def test_zero_weight_identity(self):
         reg = sv.Register([3, 3], np.outer(uniform(3), uniform(3)))
-        assert np.allclose(sv.apply_cz_power(reg, 0, 1, 0).amps, reg.amps)
+        out = applied(sv.apply_cz_power, reg, 0, 1, 0)
+        assert np.allclose(out.amps, reg.amps)
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_order_d(self, d):
@@ -290,8 +316,8 @@ class TestCZ:
         amps = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         amps /= np.linalg.norm(amps)
         reg = sv.Register([3, 3], amps)
-        a = sv.apply_cz_power(reg, 0, 1, 2)
-        b = sv.apply_cz_power(reg, 1, 0, 2)
+        a = applied(sv.apply_cz_power, reg, 0, 1, 2)
+        b = applied(sv.apply_cz_power, reg, 1, 0, 2)
         assert np.allclose(a.amps, b.amps)
 
     def test_dimension_mismatch(self):
@@ -300,41 +326,85 @@ class TestCZ:
             sv.apply_cz_power(reg, 0, 1, 1)
 
 
-class TestFunctionalGates:
-    @settings(max_examples=60, deadline=None)
+def random_emitter_register(data):
+    """Two donors, the electron and a photon under construction, in C or in
+    a transposed memory layout, with the photon free to be emitted."""
+    d = data.draw(st.integers(2, 5))
+    radices = (d, d, 2, d + 1)
+    perm = data.draw(st.permutations(range(4)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    shape = [radices[ax] for ax in perm]
+    base = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    amps = base.transpose(np.argsort(perm))
+    amps[:, :, sv.ELECTRON_UP, :d] = 0
+    return d, sv.Register(radices, amps / np.linalg.norm(amps))
+
+
+class TestGateSurface:
+    @settings(max_examples=40, deadline=None)
     @given(st.data())
-    def test_public_gates_leave_their_input_alone(self, data):
-        """Two donors, the electron and a photon under construction, in C
-        or in a transposed memory layout: every public gate returns a new
-        register and leaves the amplitudes it was given as they were."""
-        d = data.draw(st.integers(2, 5))
-        radices = (d, d, 2, d + 1)
-        perm = data.draw(st.permutations(range(4)))
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        shape = [radices[ax] for ax in perm]
-        base = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-        amps = base.transpose(np.argsort(perm))
-        amps[:, :, sv.ELECTRON_UP, :d] = 0     # the photon can be emitted
-        reg = sv.Register(radices, amps / np.linalg.norm(amps))
+    def test_copying_gates_leave_their_input_alone(self, data):
+        """The Fourier and Pauli gates return a new register and leave the
+        amplitudes they were given as they were."""
+        d, reg = random_emitter_register(data)
         before = reg.amps.copy()
-        level = st.integers(0, d - 1)
         donor = st.integers(0, 1)
         gate = data.draw(st.sampled_from([
             lambda: sv.apply_fourier(reg, data.draw(donor)),
             lambda: sv.apply_pauli_power(reg, data.draw(donor),
                                          data.draw(st.sampled_from("XZ")),
-                                         data.draw(level)),
-            lambda: sv.apply_permutation(reg, data.draw(donor),
-                                         data.draw(level), data.draw(level)),
-            lambda: sv.apply_conditional_flip(
-                reg, (data.draw(donor), data.draw(level)), 2),
-            lambda: sv.apply_emission(reg, 3, data.draw(level), 2),
-            lambda: sv.apply_cz_power(reg, 0, 1, data.draw(level)),
+                                         data.draw(st.integers(0, d - 1))),
         ]))
         out = gate()
         assert out is not reg
         assert not np.shares_memory(out.amps, reg.amps)
         assert np.array_equal(reg.amps, before)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_in_place_gates_change_only_the_amplitudes(self, data):
+        """A permutation, flip, emission or CZ returns None and updates
+        ``reg.amps`` in place: the same array, in the same memory layout,
+        under the same radices and cap, holding what the gate gives on a
+        C-ordered copy."""
+        d, reg = random_emitter_register(data)
+        level = st.integers(0, d - 1)
+        donor = st.integers(0, 1)
+        gate, args = data.draw(st.sampled_from([
+            (sv.apply_permutation,
+             lambda: (data.draw(donor), data.draw(level), data.draw(level))),
+            (sv.apply_conditional_flip,
+             lambda: ((data.draw(donor), data.draw(level)), 2)),
+            (sv.apply_emission, lambda: (3, data.draw(level), 2)),
+            (sv.apply_cz_power, lambda: (0, 1, data.draw(level))),
+        ]))
+        args = args()
+        amps, strides = reg.amps, reg.amps.strides
+        c_ordered = sv.Register(reg.radices, np.ascontiguousarray(amps))
+        assert gate(reg, *args) is None
+        assert reg.amps is amps and amps.strides == strides
+        assert reg.radices == (d, d, 2, d + 1)
+        assert reg.cap == sv.DEFAULT_AMPLITUDE_CAP
+        gate(c_ordered, *args)
+        assert np.array_equal(reg.amps, c_ordered.amps)
+
+    def test_every_public_function_is_reached_from_the_package(self):
+        """Each public top-level ``statevec`` function is named somewhere in
+        the package outside its own definition; an import does not count."""
+        source = pathlib.Path(sv.__file__)
+        public = [node.name for node in ast.parse(source.read_text()).body
+                  if isinstance(node, ast.FunctionDef)
+                  and not node.name.startswith("_")]
+        used = set()
+        for path in source.parent.glob("*.py"):
+            for top in ast.parse(path.read_text()).body:
+                names = {node.id if isinstance(node, ast.Name) else node.attr
+                         for node in ast.walk(top)
+                         if isinstance(node, (ast.Name, ast.Attribute))}
+                if path == source and isinstance(top, ast.FunctionDef):
+                    names.discard(top.name)
+                used |= names
+        assert [name for name in public if name not in used] == []
 
 
 class TestUnitarity:
@@ -344,9 +414,10 @@ class TestUnitarity:
         (lambda r: sv.apply_fourier(r, 1), (2, 3, 4), 1),
         (lambda r: sv.apply_pauli_power(r, 2, "X", 3), (2, 3, 4), 2),
         (lambda r: sv.apply_pauli_power(r, 1, "Z", 2), (2, 3, 4), 1),
-        (lambda r: sv.apply_permutation(r, 2, 0, 3), (2, 3, 4), 2),
-        (lambda r: sv.apply_conditional_flip(r, (1, 2), 0), (2, 3, 4), 0),
-        (lambda r: sv.apply_cz_power(r, 0, 2, 1), (4, 3, 4), 0),
+        (lambda r: applied(sv.apply_permutation, r, 2, 0, 3), (2, 3, 4), 2),
+        (lambda r: applied(sv.apply_conditional_flip, r, (1, 2), 0),
+         (2, 3, 4), 0),
+        (lambda r: applied(sv.apply_cz_power, r, 0, 2, 1), (4, 3, 4), 0),
         (lambda r: sv.apply_fourier(r, 0), (8, 8, 8), 0),
     ])
     def test_u_udag_identity(self, apply_fn, radices, sub):
@@ -381,9 +452,9 @@ class TestUnitarity:
                 reg = sv.apply_pauli_power(reg, int(rng.integers(3)), "Z",
                                            int(rng.integers(1, 3)))
             elif op == 2:
-                reg = sv.apply_permutation(reg, 0, 0, int(rng.integers(1, 3)))
+                sv.apply_permutation(reg, 0, 0, int(rng.integers(1, 3)))
             else:
-                reg = sv.apply_cz_power(reg, 0, 2, 1)
+                sv.apply_cz_power(reg, 0, 2, 1)
             assert abs(reg.norm() - 1.0) < 1e-10
 
 
@@ -408,10 +479,10 @@ class TestMeasurement:
         reg = sv.init_register([3, 2], (0, 0))
         reg = sv.apply_fourier(reg, 0)
         reg, ph = sv.add_photon(reg, 3)
-        reg = edsr_then_emit(reg, ph, 0)
+        edsr_then_emit(reg, ph, 0)
         for b in (1, 2):
-            reg = sv.apply_permutation(reg, 0, 0, b)
-            reg = edsr_then_emit(reg, ph, b)
+            sv.apply_permutation(reg, 0, 0, b)
+            edsr_then_emit(reg, ph, b)
         reg = sv.finalize_photon(reg, ph)
         return sv.apply_fourier(reg, 0)
 
@@ -422,7 +493,8 @@ class TestMeasurement:
 
     def test_collapse_top_outcome_gives_uniform_photon(self):
         reg = self.make_w3()
-        _, collapsed = sv.collapse(reg, 0, 0)
+        level, _, collapsed = sv.enumerate_outcomes(reg, 0)[0]
+        assert level == 0
         photon = sv.remove_subsystem(collapsed, 0)
         # outcome 0 needs no phase correction: photon uniform over bins
         assert np.allclose(photon.amps, uniform(3) * photon.amps[0]
@@ -455,9 +527,17 @@ class TestMeasurement:
         assert rec1 == rec2
 
     def test_zero_probability_collapse_rejected(self):
+        # enumeration skips an impossible outcome; a sampler that picks
+        # one anyway is refused
         reg = sv.init_register([3], (1,))
+        assert [lv for lv, _, _ in sv.enumerate_outcomes(reg, 0)] == [1]
+
+        class PicksZero:
+            def choice(self, n, p):
+                return 0
+
         with pytest.raises(ValueError, match="zero-probability"):
-            sv.collapse(reg, 0, 0)
+            sv.measure(reg, 0, PicksZero())
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -501,24 +581,6 @@ class TestMeasurement:
             branches = nxt
         assert math.fsum(p for _, p, _ in branches) == pytest.approx(
             1, abs=1e-12)
-
-
-class TestBinStrings:
-    def test_first_bin(self):
-        assert sv.bin_string(0, 3) == "100"
-
-    @pytest.mark.parametrize("d", range(2, 9))
-    def test_round_trip(self, d):
-        for k in range(d):
-            assert sv.bin_index(sv.bin_string(k, d)) == k
-
-    def test_inverse_of_010(self):
-        assert sv.bin_index("010") == 1
-
-    @pytest.mark.parametrize("bad", ["000", "110", "abc", ""])
-    def test_inverse_rejects_non_one_hot(self, bad):
-        with pytest.raises(ValueError):
-            sv.bin_index(bad)
 
 
 class TestSerialization:
