@@ -96,7 +96,10 @@ def emission_time(g_s_mhz: float) -> EmissionTime:
 
 
 def _is_number(x):
-    return isinstance(x, (int, float))
+    """A JSON number: a bool is not one, and neither are the NaN and
+    Infinity tokens that ``json.loads`` accepts."""
+    return (isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x))
 
 
 @dataclass(frozen=True)
@@ -159,15 +162,20 @@ class OperationTable:
                 raise ValueError(f"row {k!r}: fidelity must be a number or "
                                  f"null, got {fid!r}")
             rows[k] = OperationRow(fid, (float(dur[0]), float(dur[-1])))
+        name = obj.get("name", "custom")
         coherence = obj.get("coherence_us", {})
         notes = obj.get("notes", [])
+        if not isinstance(name, str):
+            raise ValueError(f"name must be a string, got {name!r}")
         if not (isinstance(coherence, dict) and all(
-                v is None or _is_number(v) for v in coherence.values())):
-            raise ValueError("coherence_us must map names to numbers or "
-                             f"null, got {coherence!r}")
-        if not isinstance(notes, list):
-            raise ValueError(f"notes must be a list, got {notes!r}")
-        return cls(obj.get("name", "custom"), rows,
+                v is None or _is_number(v) and v > 0
+                for v in coherence.values())):
+            raise ValueError("coherence_us must map names to positive "
+                             f"numbers or null, got {coherence!r}")
+        if not (isinstance(notes, list)
+                and all(isinstance(n, str) for n in notes)):
+            raise ValueError(f"notes must be a list of strings, got {notes!r}")
+        return cls(name, rows,
                    {k: (None if v is None else float(v))
                     for k, v in coherence.items()},
                    tuple(notes))

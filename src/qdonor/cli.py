@@ -137,6 +137,10 @@ def cmd_protocol(args):
     seed = _seed(args)
     out = Path(args.output)
     program = _compile(args)
+    # resolved before any work, so that a target that cannot be built
+    # (a one-photon chain) exits 2 without a trace.json
+    if args.mode == "verify" and args.protocol != "single-photon":
+        graph, order = pr.target_graph(args.protocol, args.d, args.n)
     enumerated = args.enumerate or args.mode == "verify"
     trace = pr.execute(program, seed=seed, enumerate_all=enumerated,
                        cap=args.cap or sv.DEFAULT_AMPLITUDE_CAP)
@@ -157,7 +161,6 @@ def cmd_protocol(args):
                           "fidelity": f} for o, z, f in rows],
         }
     else:
-        graph, order = pr.target_graph(args.protocol, args.d, args.n)
         rep = pr.verify_against_target(trace, graph, order)
         report = {"protocol": args.protocol}
         report.update(rep.to_dict())

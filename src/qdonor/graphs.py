@@ -54,11 +54,6 @@ class GraphSpec:
     def to_dict(self):
         return {"n": self.n, "d": self.d, "adjacency": list(self.adjacency)}
 
-    @classmethod
-    def from_dict(cls, obj):
-        return cls(int(obj["n"]), int(obj["d"]),
-                   tuple(int(x) for x in obj["adjacency"]))
-
 
 def make_linear(n, d):
     """Path graph 0-1-...-(n-1), all edges weight 1."""
@@ -165,13 +160,6 @@ def _pauli_product(reg, factors):
     return out
 
 
-def stabilizer_apply(reg, g, v):
-    """S_v |psi> with S_v = X_v prod_w Z_w^{A_vw}."""
-    _require_vertex_register(reg, g)
-    out = _pauli_product(reg, _stabilizer_factors(g.matrix(), v))
-    return sv.Register(reg.radices, out, reg.cap)
-
-
 def _expectation(reg, factors):
     """<psi| P |psi> for the Pauli product P."""
     return complex(np.vdot(reg.amps, _pauli_product(reg, factors)))
@@ -197,10 +185,6 @@ class StabilizerReport:
     @property
     def passed(self):
         return self.max_deviation <= STABILIZER_ATOL
-
-    def failing_vertices(self):
-        return [v for v, dev in enumerate(self.deviations)
-                if dev > STABILIZER_ATOL]
 
 
 def stabilizer_verify(reg, g):
@@ -244,10 +228,6 @@ class CorrectionSet:
     @property
     def n(self):
         return len(self.x_powers)
-
-    def is_identity(self):
-        return (not any(self.x_powers) and not any(self.z_powers)
-                and not any(self.fourier_powers))
 
     def to_dict(self):
         return {"x_powers": list(self.x_powers),

@@ -99,8 +99,9 @@ class Instruction:
                 raise ValueError(
                     f"{self.op} instruction cannot have {name}={val!r}")
         spec = OPS[self.op]
-        if self.duration is not None and self.duration < 0:
-            raise ValueError(f"negative idle duration {self.duration}")
+        if self.duration is not None and not 0 <= self.duration < math.inf:
+            raise ValueError("idle duration must be finite and >= 0, got "
+                             f"{self.duration}")
         if self.levels is not None and len(self.levels) < 2:
             raise ValueError("a level subset needs at least two levels, "
                              f"got {list(self.levels)}")

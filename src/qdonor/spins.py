@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field, fields, asdict, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -96,14 +96,6 @@ class SpinParams:
     def f_q_mhz(self):
         return self.f_q * 1e-3
 
-    @property
-    def secular_regime(self):
-        """gamma_e B0 >> A >> f_q hierarchy flag."""
-        return self.gamma_e_mhz * self.B0 > self.A > self.f_q_mhz
-
-    def to_dict(self):
-        return asdict(self)
-
     @classmethod
     def from_dict(cls, obj):
         _check_object(cls, obj)
@@ -128,10 +120,6 @@ class DoubleSpinParams:
     @property
     def A_w_mhz(self):
         return self.A_w * 1e-3
-
-    def to_dict(self):
-        return {"base": self.base.to_dict(), "A_w": self.A_w,
-                "A_s": self.A_s, "f_q_w": self.f_q_w, "f_q_s": self.f_q_s}
 
     @classmethod
     def from_dict(cls, obj):
@@ -341,9 +329,6 @@ class TransitionList:
 
     def __len__(self):
         return len(self.entries)
-
-    def frequencies(self):
-        return [e[2] for e in self.entries]
 
     def to_dict(self):
         return {"kind": self.kind,

@@ -82,20 +82,6 @@ class Register:
     def copy(self):
         return Register(self.radices, self.amps.copy(), self.cap)
 
-    # -- serialization --------------------------------------------------
-
-    def to_dict(self):
-        flat = self.amps.reshape(-1)
-        return {
-            "radices": list(self.radices),
-            "amplitudes": [[float(a.real), float(a.imag)] for a in flat],
-        }
-
-    @classmethod
-    def from_dict(cls, d, cap=DEFAULT_AMPLITUDE_CAP):
-        amps = np.array([complex(re, im) for re, im in d["amplitudes"]])
-        return cls(d["radices"], amps, cap)
-
     def __repr__(self):
         return f"Register(radices={self.radices})"
 

@@ -127,7 +127,9 @@ class TestOperationTables:
             rows[key] = bg.OperationRow(fid, (lo, hi))
         table = bg.OperationTable(
             data.draw(names), rows,
-            data.draw(st.dictionaries(names, st.none() | times, max_size=4)),
+            data.draw(st.dictionaries(
+                names, st.none() | st.floats(0, 1e6, exclude_min=True),
+                max_size=4)),
             tuple(data.draw(st.lists(names, max_size=3))))
         text = json.dumps(table.to_dict())
         back = bg.OperationTable.from_dict(json.loads(text))

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -278,6 +279,12 @@ class TestBudgetCommand:
                      id="level-40-and-emitter-7"),
         pytest.param(program([{"op": "idle", "emitter": 0, "duration": -5.0}],
                              n_emitters=1), "sb2", id="negative-idle"),
+        pytest.param(program([{"op": "idle", "emitter": 0,
+                               "duration": math.nan}], n_emitters=1), "sb2",
+                     id="nan-idle"),
+        pytest.param(program([{"op": "idle", "emitter": 0,
+                               "duration": math.inf}], n_emitters=1), "sb2",
+                     id="infinite-idle"),
         pytest.param(program([{"emitter": 0}], n_emitters=1), "sb2",
                      id="no-op"),
         pytest.param(program([7], n_emitters=1), "sb2", id="not-an-object"),
@@ -303,6 +310,26 @@ class TestBudgetCommand:
                      id="string-fidelity-row"),
         pytest.param(program([]), {"operations": []},
                      id="operations-not-an-object"),
+        *(pytest.param(program([{"op": "fourier", "emitter": 0}]),
+                       {"operations": {"fourier": {"fidelity": fid,
+                                                   "duration_us": dur}}},
+                       id=f"{name}-row")
+          for name, fid, dur in [("nan-duration", 0.99, math.nan),
+                                 ("infinite-duration", 0.99, [1.0, math.inf]),
+                                 ("true-duration", 0.99, True),
+                                 ("true-fidelity", True, 100)]),
+        *(pytest.param(program([{"op": "fourier", "emitter": 0}]),
+                       {"operations": {"fourier": {"fidelity": 0.99,
+                                                   "duration_us": 100}},
+                        "coherence_us": {"electron_T2": t2}},
+                       id=f"{name}-coherence")
+          for name, t2 in [("zero", 0), ("negative", -6.3),
+                           ("nan", math.nan), ("infinite", math.inf),
+                           ("true", True)]),
+        pytest.param(program([]), {"operations": {}, "notes": [math.nan]},
+                     id="nan-note"),
+        pytest.param(program([]), {"operations": {}, "name": math.inf},
+                     id="infinite-name"),
     ])
     def test_malformed_program_exits_2(self, tmp_path, capsys, prog, table):
         f = tmp_path / "prog.json"
@@ -409,6 +436,8 @@ def test_output_naming_a_file_exits_2_before_any_work(
                  2, id="protocol-d-1"),
     pytest.param(("protocol", "verify", "--protocol", "linear", "--n", "0"),
                  2, id="protocol-n-0"),
+    pytest.param(("protocol", "verify", "--protocol", "linear", "--n", "1"),
+                 2, id="protocol-verify-linear-n-1"),
     pytest.param(("protocol", "verify", "--protocol", "six-ring", "--d", "9"),
                  5, id="protocol-d-9"),
     pytest.param(("protocol", "run", "--protocol", "six-ring", "--d", "4",

@@ -138,7 +138,14 @@ class TestGenerators:
 
     def test_json_round_trip(self):
         g = gm.make_ladder(2, 3, 5)
-        assert gm.GraphSpec.from_dict(json.loads(json.dumps(g.to_dict()))) == g
+        assert json.loads(json.dumps(g.to_dict())) == {
+            "n": 6, "d": 5,
+            "adjacency": [0, 1, 0, 1, 0, 0,
+                          1, 0, 1, 0, 1, 0,
+                          0, 1, 0, 0, 0, 1,
+                          1, 0, 0, 0, 1, 0,
+                          0, 1, 0, 1, 0, 1,
+                          0, 0, 1, 0, 1, 0]}
 
 
 class TestSerialization:
@@ -152,9 +159,11 @@ class TestSerialization:
             m[i, j] = m[j, i] = data.draw(st.integers(0, d - 1))
         g = gm.GraphSpec.from_matrix(d, m)
         text = json.dumps(g.to_dict())
-        back = gm.GraphSpec.from_dict(json.loads(text))
-        assert back == g
-        assert json.dumps(back.to_dict()) == text
+        assert text == json.dumps({"n": n, "d": d,
+                                   "adjacency": m.reshape(-1).tolist()})
+        obj = json.loads(text)
+        assert gm.GraphSpec.from_matrix(
+            obj["d"], np.reshape(obj["adjacency"], (n, n))) == g
 
 
 class TestBuildGraphState:
@@ -230,7 +239,8 @@ class TestStabilizerVerify:
         g = gm.make_linear(3, 2)
         reg = sv.apply_pauli_power(gm.build_graph_state(g), 0, "Z", 1)
         rep = gm.stabilizer_verify(reg, g)
-        assert rep.failing_vertices() == [0]
+        assert [v for v, dev in enumerate(rep.deviations)
+                if dev > gm.STABILIZER_ATOL] == [0]
 
     def test_uniform_product_fails_edge_checks(self):
         g = gm.make_linear(3, 2)
@@ -238,7 +248,7 @@ class TestStabilizerVerify:
         for v in range(3):
             reg = sv.apply_fourier(reg, v)
         rep = gm.stabilizer_verify(reg, g)
-        assert set(rep.failing_vertices()) == {0, 1, 2}
+        assert all(dev > gm.STABILIZER_ATOL for dev in rep.deviations)
 
     def test_dimension_mismatch_rejected(self):
         g = gm.make_linear(3, 2)
@@ -285,19 +295,21 @@ class TestDressedExpectation:
         for v in range(n):
             factors = gm._stabilizer_factors(m, v)
             mu = gm._expectation(reg, gm._conjugate(factors, fvec, d))
-            want = sv.overlap(dressed, gm.stabilizer_apply(dressed, g, v))
+            want = np.vdot(dressed.amps,
+                           rolled_stabilizer(dressed.amps, m, v))
             assert abs(mu - want) <= 1e-12
             # at f = 0 the kernel is the undressed expectation, bit for bit
             assert gm._conjugate(factors, zeros, d) == factors
             at_zero = gm._expectation(reg, factors)
             assert at_zero == plain[v]
-            assert at_zero == sv.overlap(reg, gm.stabilizer_apply(reg, g, v))
+            assert at_zero == np.vdot(reg.amps,
+                                      rolled_stabilizer(reg.amps, m, v))
             # S_v itself, bit for bit against an X roll then the Z phases
             built = sv.apply_pauli_power(reg, v, "X", 1)
             for w in range(n):
                 if m[v, w]:
                     built.amps *= sv._z_phases(built, w, int(m[v, w]))
-            assert (gm.stabilizer_apply(reg, g, v).amps.tobytes()
+            assert (gm._pauli_product(reg, factors).tobytes()
                     == built.amps.tobytes()
                     == rolled_stabilizer(reg.amps, m, v).tobytes())
 
@@ -312,7 +324,7 @@ class TestDressedExpectation:
         assert not reg.amps.flags.c_contiguous
         m = g.matrix()
         for v in range(g.n):
-            out = gm.stabilizer_apply(reg, g, v).amps
+            out = gm._pauli_product(reg, gm._stabilizer_factors(m, v))
             assert out.strides == reg.amps.strides
             assert (out.tobytes()
                     == rolled_stabilizer(reg.amps, m, v).tobytes())
@@ -340,7 +352,8 @@ class TestCorrectionSearch:
     def test_exact_state_needs_identity(self):
         g = gm.make_ring(4, 3)
         corr = gm.local_correction_search(gm.build_graph_state(g), g, 1)
-        assert corr is not None and corr.is_identity()
+        assert corr is not None
+        assert not any(corr.x_powers + corr.z_powers + corr.fourier_powers)
         assert corr.report.passed
 
     def test_recovers_planted_z_square(self):

@@ -143,12 +143,20 @@ def valid_programs(draw):
     between.  The readout measures a suffix of a random emitter order, and
     the count skipped leans to zero, since an unmeasured donor must end in
     one definite level.  About two draws in three run through the readout,
-    and every program of the all-bare form can still be drawn.
+    and every program of the all-bare form can still be drawn.  Half the
+    two-emitter draws also hold a Fourier on each emitter followed by a CZ,
+    which acts on two superposed donors, where the sign of its phase shows;
+    those read out both donors, as neither is left in a definite level.
     """
     d = draw(st.integers(2, 8))
     n_emitters = draw(st.integers(1, 2))
     n_photons = draw(st.integers(0, 3))
-    others = draw(_steps(d, n_emitters))
+    others = [[step] for step in draw(_steps(d, n_emitters))]
+    entangled = n_emitters == 2 and draw(st.booleans())
+    if entangled:
+        others.insert(draw(st.integers(0, len(others))), [
+            pr.fourier(0), pr.fourier(1),
+            pr.cz(0, 1, weight=draw(st.integers(1, d - 1)))])
     # bit k of one integer picks the emitter of emission k (one draw)
     mask = draw(st.integers(0, n_emitters ** (n_photons * d) - 1))
     units = []
@@ -163,11 +171,11 @@ def valid_programs(draw):
                                 min_size=len(others), max_size=len(others))))
     ins, placed = [], 0
     for cut, step in zip(cuts, others):
-        ins += sum(units[placed:cut], []) + [step]
+        ins += sum(units[placed:cut], []) + step
         placed = cut
     ins += sum(units[placed:], [])
     order = draw(st.permutations(range(n_emitters)))
-    for e in order[draw(st.integers(0, n_emitters)):]:
+    for e in order[0 if entangled else draw(st.integers(0, n_emitters)):]:
         ins.append(pr.measure_donor(e))
     return pr.Program(d, n_emitters, n_photons, tuple(ins))
 
@@ -269,7 +277,7 @@ class TestInstructionTable:
             ins = pr.Instruction(op, **kw)
         except ValueError as exc:
             if want is None:     # a field passed; a later check refused
-                assert re.match("negative idle|a level subset|.* repeats",
+                assert re.match("idle duration|a level subset|.* repeats",
                                 str(exc))
             else:
                 assert str(exc) == want
