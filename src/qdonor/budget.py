@@ -68,7 +68,14 @@ def loss_success(c: CavityParams) -> LossReport:
     g = c.g_s_mhz
     gamma_bath = g * kappa_i / (g + kappa_i)
     gamma_port = g * kappa_c / (g + kappa_c)
-    assert gamma_bath < min(g, kappa_i) and gamma_port < min(g, kappa_c)
+    # finite inputs can still overflow here, e.g. omega_c near the largest
+    # float or a subnormal Q
+    for name, rate in (("kappa_i_mhz", kappa_i), ("kappa_c_mhz", kappa_c),
+                       ("gamma_bath_mhz", gamma_bath),
+                       ("gamma_port_mhz", gamma_port)):
+        if not math.isfinite(rate):
+            raise ValueError(f"derived rate {name} is not finite ({rate}); "
+                             "the cavity parameters overflow")
     total = gamma_bath + gamma_port
     loss = gamma_bath / total
     success = 1.0 - loss  # keeps loss + success = 1 to the last bit
@@ -316,13 +323,19 @@ def timing_fidelity_budget(program, table, cavity=None) -> TimingReport:
     for f, _ in steps:
         fid *= f
     mid = 0.5 * (lo + hi)
+    for name, dur in (("min", lo), ("max", hi), ("mid", mid)):
+        if not math.isfinite(dur):
+            raise ValueError(f"summed {name} duration is not finite ({dur} us)")
     ratios = {}
     flags = []
     for key, t2 in table.coherence_us.items():
         if t2 is None or "T1" in key:
             continue
         ratios[key] = mid / t2
-        if mid / t2 > 1.0:
+        if not math.isfinite(ratios[key]):
+            raise ValueError(f"coherence ratio {key} is not finite "
+                             f"({mid} us over {t2} us)")
+        if ratios[key] > 1.0:
             flags.append(f"duration exceeds {key} ({mid:.1f} us vs {t2} us)")
     return TimingReport(table.name, (lo, mid, hi), fid, ratios,
                         tuple(flags), len(steps), table.notes)

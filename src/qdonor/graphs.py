@@ -99,10 +99,20 @@ def make_ladder(rows, cols, d):
 
 
 def build_graph_state(g):
-    """Apply F_d to every |0> then CZ powers per the adjacency."""
+    """F_d on every |0>, in closed form, then CZ powers per the adjacency.
+
+    F_d^n |0...0> holds F[0, 0]^n on every basis state.  The amplitude is
+    formed as n successive products with F[0, 0], the rounding sequence of
+    n Fourier gates applied to |0...0> (their contractions add only exact
+    zeros), so the state is the same bit for bit without those gates or
+    their full-size temporaries.
+    """
     reg = sv.init_register((g.d,) * g.n, (0,) * g.n)
-    for v in range(g.n):
-        reg = sv.apply_fourier(reg, v)
+    f00 = sv.fourier_matrix(g.d)[0, 0]
+    amp = 1 + 0j
+    for _ in range(g.n):
+        amp *= f00
+    reg.amps.fill(amp)
     for i, j, w in g.edges():
         sv.apply_cz_power(reg, i, j, w)
     return reg

@@ -398,7 +398,6 @@ class ExecutionTrace:
     final_register: sv.Register        # state before donor measurement
     branches: tuple | None = None      # enumerate mode
     records: tuple = ()                # sampled mode MeasurementRecords
-    sampled_photons: sv.Register | None = None
 
 
 def _checksum(reg):
@@ -490,9 +489,8 @@ def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
         return ExecutionTrace(program, tuple(checksums), final, branches=tuple(
             OutcomeBranch(o, p, _extract_photons(s, left))
             for o, p, s in branches))
-    photons = _extract_photons(branches[0][2], left) if measures else None
     return ExecutionTrace(program, tuple(checksums), final,
-                          records=tuple(records), sampled_photons=photons)
+                          records=tuple(records))
 
 
 def _extract_photons(state, n_donors):

@@ -359,8 +359,12 @@ def _without_axes(reg, amps, axes):
 
 
 def _project(reg, subsystem, outcome, p):
-    """The renormalised slice at ``outcome``, without the measured axis."""
-    amps = np.take(reg.amps, outcome, axis=subsystem)
+    """The renormalised slice at ``outcome``, without the measured axis.
+
+    A basic-index view copied to C order: ``np.take`` would first copy a
+    register that is not C-ordered whole, once per outcome.
+    """
+    amps = reg.amps[_at(reg.n_subsystems, (subsystem, outcome))].copy()
     amps /= math.sqrt(p)
     return _without_axes(reg, amps, (subsystem,))
 

@@ -32,6 +32,24 @@ class TestLossSuccess:
         assert rep.success == pytest.approx(1.0, abs=1e-5)
         assert rep.success_db_magnitude == pytest.approx(0.0, abs=1e-4)
 
+    def test_rates_that_round_to_their_bound(self):
+        # kappa_i is 1e-296-small: g kappa_i / (g + kappa_i) rounds to
+        # kappa_i itself, which is no error
+        rep = bg.loss_success(bg.CavityParams(q_i=1e300))
+        assert rep.loss < 1e-290
+        assert rep.success == 1.0
+
+    @pytest.mark.parametrize("params,rate", [
+        ({"omega_c_ghz": 1e306}, "kappa_i_mhz"),
+        ({"q_i": 1e-320}, "kappa_i_mhz"),
+        ({"q_c": 1e-320}, "kappa_c_mhz"),
+        ({"g_s_mhz": 1e308}, "gamma_port_mhz"),
+    ])
+    def test_overflowing_rate_is_rejected(self, params, rate):
+        with pytest.raises(ValueError,
+                           match=f"derived rate {rate} is not finite"):
+            bg.loss_success(bg.CavityParams(**params))
+
     def test_loss_plus_success_is_one_exactly(self):
         for qi in np.geomspace(1e4, 1e8, 9):
             for qc in np.geomspace(1e3, 1e6, 7):
@@ -147,6 +165,26 @@ class TestTimingBudget:
         rep = bg.timing_fidelity_budget([], bg.single_donor_table())
         assert rep.duration_us == (0.0, 0.0, 0.0)
         assert rep.fidelity == 1.0
+
+    @pytest.mark.parametrize("rows,summed", [
+        ([(1e308, 1e308)] * 2, "min"),
+        ([(0.0, 1e308)] * 2, "max"),
+        ([(1e308, 1e308)], "mid"),
+    ])
+    def test_overflowing_sum_is_rejected(self, rows, summed):
+        # every row is finite; the program's sum is not
+        table = bg.OperationTable("huge", {f"r{k}": bg.OperationRow(1.0, dur)
+                                           for k, dur in enumerate(rows)}, {})
+        with pytest.raises(ValueError,
+                           match=f"summed {summed} duration is not finite"):
+            bg.timing_fidelity_budget(list(table.rows), table)
+
+    def test_overflowing_coherence_ratio_is_rejected(self):
+        table = bg.OperationTable("tiny-t2", {"esr": bg.OperationRow(
+            1.0, (100.0, 100.0))}, {"electron_T2": 1e-307})
+        with pytest.raises(ValueError,
+                           match="coherence ratio electron_T2 is not finite"):
+            bg.timing_fidelity_budget(["esr"], table)
 
     def test_linear_budget_regression(self):
         # arithmetic oracle over the instruction list and the table rows:

@@ -330,6 +330,18 @@ class TestBudgetCommand:
                      id="nan-note"),
         pytest.param(program([]), {"operations": {}, "name": math.inf},
                      id="infinite-name"),
+        # finite rows whose sums overflow: a linear d=2 trace has three
+        # Fourier steps
+        pytest.param({"program": pr.compile_linear(2, 2).to_dict()},
+                     {"operations": {**bg.sb2_table().to_dict()["operations"],
+                                     "fourier": {"fidelity": 0.998,
+                                                 "duration_us": 1e308}}},
+                     id="overflowing-duration-sum"),
+        pytest.param(program([{"op": "fourier", "emitter": 0}]),
+                     {"operations": {"fourier": {"fidelity": 0.99,
+                                                 "duration_us": 100}},
+                      "coherence_us": {"electron_T2": 1e-307}},
+                     id="overflowing-coherence-ratio"),
     ])
     def test_malformed_program_exits_2(self, tmp_path, capsys, prog, table):
         f = tmp_path / "prog.json"
@@ -449,6 +461,9 @@ def test_output_naming_a_file_exits_2_before_any_work(
     pytest.param(("budget", "--qi", "nan"), 2, id="budget-qi-nan"),
     pytest.param(("budget", "--sweep", "Qi=1e5:1e6:bogus"), 2,
                  id="budget-bad-sweep"),
+    pytest.param(("budget", "--sweep", "omega=1e306:1e307:lin:2"), 2,
+                 id="budget-sweep-omega-overflow"),
+    pytest.param(("budget", "--qi", "1e-320"), 2, id="budget-qi-subnormal"),
     pytest.param(("budget", "--program", "{trace}", "--table", "single"), 2,
                  id="budget-single-table-cz"),
     pytest.param(("budget", "--program", "{trace}", "--table", "{table}"), 2,
@@ -573,6 +588,17 @@ class TestDeterminism:
                     h.update(p.name.encode() + p.read_bytes())
         assert h.hexdigest() == (
             "aea895e154a865c341ca0f0e44f80ea0c2d5eb473d80defd987307a82ffb754e")
+
+    def test_eight_chain_fusion_is_pinned(self, tmp_path):
+        # one SHA-256 over fusion.json of the default eight-chain at d=4
+        # and d=5, the largest graph states the CLI builds
+        h = hashlib.sha256()
+        for d in ("4", "5"):
+            out = tmp_path / d
+            assert run("fusion", "--d", d, "--output", str(out)) == 0
+            h.update((out / "fusion.json").read_bytes())
+        assert h.hexdigest() == (
+            "0d2a3ed627e0df7c9bc306c5e7de7d8c901ae30f72c8460078b605009194bbfd")
 
     def test_spin_outputs_are_pinned(self, tmp_path):
         # one SHA-256 over spectrum.csv and transitions.csv of every device,

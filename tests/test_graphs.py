@@ -3,6 +3,7 @@
 import gc
 import itertools
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -166,7 +167,48 @@ class TestSerialization:
             obj["d"], np.reshape(obj["adjacency"], (n, n))) == g
 
 
+def fourier_gate_graph_state(g):
+    """The construction that the closed form replaced, kept as its
+    reference: a full-register Fourier gate per vertex on |0...0>, then the
+    CZ powers."""
+    reg = sv.init_register((g.d,) * g.n, (0,) * g.n)
+    for v in range(g.n):
+        reg = sv.apply_fourier(reg, v)
+    for i, j, w in g.edges():
+        sv.apply_cz_power(reg, i, j, w)
+    return reg
+
+
 class TestBuildGraphState:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_fourier_gates_bit_for_bit(self, d):
+        # every n with d^n <= 2^16, on the chain and on a random weighted
+        # graph; C-order bytes compare every bit, signed zeros included
+        rng = np.random.default_rng(d)
+        n = 1
+        while d**n <= 2**16:
+            m = np.triu(rng.integers(0, d, size=(n, n)), 1)
+            graphs = [gm.GraphSpec.from_matrix(d, m + m.T)]
+            if n >= 2:
+                graphs.append(gm.make_linear(n, d))
+            for g in graphs:
+                got = gm.build_graph_state(g).amps
+                ref = fourier_gate_graph_state(g).amps
+                assert got.dtype == ref.dtype == np.complex128
+                assert got.shape == ref.shape
+                assert got.tobytes() == ref.tobytes(), (d, n, g.adjacency)
+            n += 1
+
+    def test_builds_in_one_register(self):
+        g = gm.make_linear(8, 4)
+        tracemalloc.start()
+        try:
+            reg = gm.build_graph_state(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * reg.amps.nbytes
+
     def test_three_vertex_line_signs(self):
         reg = gm.build_graph_state(gm.make_linear(3, 2))
         amps = reg.amps.reshape(-1) * np.sqrt(8)

@@ -5,6 +5,7 @@ import argparse
 import ast
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -567,6 +568,32 @@ class TestMeasurement:
 
         with pytest.raises(ValueError, match="zero-probability"):
             sv.measure(reg, 0, PicksZero())
+
+    def test_slices_of_a_transposed_register(self):
+        # the layout the last Fourier on an axis leaves: that axis slowest.
+        # Each outcome is np.take's slice, C-ordered, and is copied from
+        # the register as it lies, not from a whole C-ordered copy of it
+        rng = np.random.default_rng(11)
+        shape = (4,) * 8
+        amps = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        reg = sv.Register(shape, np.moveaxis(amps / np.linalg.norm(amps),
+                                             0, 3))
+        assert not reg.amps.flags.c_contiguous
+        for axis in (0, 3, 7):
+            outs = sv.enumerate_outcomes(reg, axis)
+            assert [lv for lv, _, _ in outs] == [0, 1, 2, 3]
+            for level, p, collapsed in outs:
+                ref = np.take(reg.amps, level, axis=axis) / math.sqrt(p)
+                assert collapsed.amps.flags.c_contiguous
+                assert collapsed.amps.dtype == ref.dtype
+                assert collapsed.amps.tobytes() == ref.tobytes()
+        tracemalloc.start()
+        try:
+            outs = sv.enumerate_outcomes(reg, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * sum(c.amps.nbytes for _, _, c in outs)
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
