@@ -77,8 +77,14 @@ def loss_success(c: CavityParams) -> LossReport:
             raise ValueError(f"derived rate {name} is not finite ({rate}); "
                              "the cavity parameters overflow")
     total = gamma_bath + gamma_port
-    loss = gamma_bath / total
+    loss = gamma_bath / total if total > 0 else 1.0
     success = 1.0 - loss  # keeps loss + success = 1 to the last bit
+    # a port rate negligible next to the bath rate, or both rates underflowing
+    # to 0, leaves no success whose dB value exists
+    if success == 0.0:
+        raise ValueError(
+            f"photon success rounds to 0 for omega_c_ghz={c.omega_c_ghz}, "
+            f"g_s_mhz={c.g_s_mhz}, q_i={c.q_i}, q_c={c.q_c}")
     db = 10.0 * math.log10(success)
     return LossReport(kappa_i, kappa_c, gamma_bath, gamma_port,
                       loss, success, db, abs(db))

@@ -59,10 +59,8 @@ def _write_csv(path, header, rows):
 
 _SPECTATORS = {
     "none": None,
-    "weak-fixed": sp.SpectatorConvention(target=1, policy="fixed",
-                                         spectator_level=0),
-    "strong-fixed": sp.SpectatorConvention(target=2, policy="fixed",
-                                           spectator_level=0),
+    "weak-fixed": sp.SpectatorConvention(target=1, policy="fixed"),
+    "strong-fixed": sp.SpectatorConvention(target=2, policy="fixed"),
     "strong-resolved": sp.SpectatorConvention(target=2, policy="resolved"),
 }
 

@@ -31,11 +31,10 @@ W_FIDELITY_ATOL = 1e-10
 class Op:
     """What one instruction tag carries and what the budget charges for it.
 
-    ``fields`` maps each field to int, float or tuple (of level ints), and
-    ``optional`` names the ones that may be left out.  ``row`` is the
-    operation-table row charged per step, None where the charge is a
-    duration.  ``distinct`` names fields whose values, tuple entries
-    included, must all differ, as execution requires.
+    ``fields`` maps each field to int or float, and ``optional`` names the
+    ones that may be left out.  ``row`` is the operation-table row charged
+    per step, None where the charge is a duration.  ``distinct`` names
+    fields whose values must all differ, as execution requires.
     """
 
     fields: dict
@@ -45,8 +44,7 @@ class Op:
 
 
 OPS = {
-    "fourier": Op({"emitter": int, "levels": tuple}, "fourier", ("levels",),
-                  ("levels",)),
+    "fourier": Op({"emitter": int}, "fourier"),
     "permute": Op({"emitter": int, "a": int, "b": int}, "nmr"),
     "edsr": Op({"emitter": int, "control_level": int}, "edsr"),
     "emit": Op({"emitter": int, "photon": int, "bin": int}, None),
@@ -58,15 +56,13 @@ OPS = {
 
 # Index fields and the Program header entry that bounds them.
 _INDEX_BOUNDS = {"emitter": "n_emitters", "other": "n_emitters",
-                 "a": "d", "b": "d", "control_level": "d", "levels": "d",
+                 "a": "d", "b": "d", "control_level": "d",
                  "photon": "n_photons"}
 
 
 def _has_type(val, typ):
     if typ is None or isinstance(val, bool):
         return False
-    if typ is tuple:
-        return isinstance(val, tuple) and all(_has_type(x, int) for x in val)
     return isinstance(val, (int, float) if typ is float else typ)
 
 
@@ -76,7 +72,6 @@ class Instruction:
 
     op: str
     emitter: int | None = None
-    levels: tuple | None = None        # fourier subset (None = all d levels)
     a: int | None = None               # permute source
     b: int | None = None               # permute target
     control_level: int | None = None   # edsr
@@ -102,25 +97,15 @@ class Instruction:
         if self.duration is not None and not 0 <= self.duration < math.inf:
             raise ValueError("idle duration must be finite and >= 0, got "
                              f"{self.duration}")
-        if self.levels is not None and len(self.levels) < 2:
-            raise ValueError("a level subset needs at least two levels, "
-                             f"got {list(self.levels)}")
-        vals = []
-        for name in spec.distinct:
-            val = getattr(self, name)
-            if val is not None:
-                vals += val if isinstance(val, tuple) else [val]
+        vals = [val for name in spec.distinct
+                if (val := getattr(self, name)) is not None]
         if len(set(vals)) != len(vals):
             raise ValueError(f"{self.op} instruction repeats a value among "
                              f"{', '.join(spec.distinct)}: {vals}")
 
     def to_dict(self):
-        out = {}
-        for name in _FIELD_NAMES:
-            val = getattr(self, name)
-            if val is not None:
-                out[name] = list(val) if isinstance(val, tuple) else val
-        return out
+        return {name: val for name in _FIELD_NAMES
+                if (val := getattr(self, name)) is not None}
 
     @classmethod
     def from_dict(cls, obj):
@@ -130,8 +115,6 @@ class Instruction:
         if extra:
             raise ValueError(f"instruction has no field {extra[0]!r}")
         kw = dict(obj)
-        if isinstance(kw.get("levels"), list):
-            kw["levels"] = tuple(kw["levels"])
         return cls(kw.pop("op", None), **kw)
 
 
@@ -153,9 +136,8 @@ _BOUNDED = {op: tuple((name, bound) for name, bound in _INDEX_BOUNDS.items()
             for op, spec in OPS.items()}
 
 
-def fourier(emitter, levels=None):
-    return Instruction("fourier", emitter=emitter,
-                       levels=None if levels is None else tuple(levels))
+def fourier(emitter):
+    return Instruction("fourier", emitter=emitter)
 
 
 def permute(emitter, a, b):
@@ -204,9 +186,8 @@ class Program:
         for ins in self.instructions:
             for name, bound in _BOUNDED[ins.op]:
                 val = getattr(ins, name)
-                vals = val if isinstance(val, tuple) else (val,)
                 limit = getattr(self, bound)
-                if val is not None and not all(0 <= v < limit for v in vals):
+                if val is not None and not 0 <= val < limit:
                     raise ValueError(f"{name} out of range [0, {limit}) in "
                                      f"{ins.to_dict()}")
             if ins.op == "measure":
@@ -432,14 +413,8 @@ def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
     checksums = []
     measures = []
     for ins in program.instructions:
-        if (ins.op in ("permute", "edsr", "emit")
-                and not reg.amps.flags.c_contiguous):
-            # the readout sums probabilities in memory order: a C-ordered
-            # register after these gates fixes that order, and so the
-            # probability bytes that verification.json reports
-            reg = reg.copy()
         if ins.op == "fourier":
-            reg = sv.apply_fourier(reg, ins.emitter, ins.levels)
+            reg = sv.apply_fourier(reg, ins.emitter)
         elif ins.op == "permute":
             sv.apply_permutation(reg, ins.emitter, ins.a, ins.b)
         elif ins.op == "edsr":

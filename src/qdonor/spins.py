@@ -39,6 +39,9 @@ A_STRONG_MHZ = 96.0
 FQ_STRONG_KHZ = 44.3
 FQ_WEAK_KHZ = 35.6
 
+# Nuclear level a "fixed" EDSR spectator is held at: the top projection.
+SPECTATOR_LEVEL = 0
+
 # Cavity reference: the quoted |7/2,dn> <-> |5/2,up> transition frequency.
 EDSR_CAVITY_REFERENCE_GHZ = 28.41
 
@@ -309,13 +312,12 @@ class SpectatorConvention:
 
     ``target`` indexes the driven nucleus (1 = first nucleus after the
     electron; the strong one for the molecule, 2 = weak).  policy "fixed"
-    keeps the spectator nucleus at ``spectator_level`` (0 = top projection);
+    keeps the spectator nucleus at ``SPECTATOR_LEVEL`` (the top projection);
     "resolved" enumerates every spectator value as its own transition.
     """
 
     target: int = 1
     policy: str = "fixed"
-    spectator_level: int = 0
 
     def __post_init__(self):
         if self.policy not in ("fixed", "resolved"):
@@ -392,7 +394,7 @@ def _partners(lv, kind, conv, structure, n_nuclei, nmr_targets):
     # higher (m_I one lower).
     t = conv.target
     held = conv.policy == "fixed" and any(
-        lv[s] != conv.spectator_level
+        lv[s] != SPECTATOR_LEVEL
         for s in range(1, n_nuclei + 1) if s != t)
     if lv[t] + 1 < len(structure[t]) and not held:
         out.append((1,) + lv[1:t] + (lv[t] + 1,) + lv[t + 1:])

@@ -106,17 +106,6 @@ def init_register(radices, basis_index, cap=DEFAULT_AMPLITUDE_CAP):
 # -- single-subsystem unitaries -----------------------------------------
 
 
-def _apply_matrix(reg, subsystem, matrix):
-    """Contract a (radix x radix) matrix into one axis of the state."""
-    r = reg.radices[subsystem]
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape != (r, r):
-        raise ValueError(f"matrix shape {matrix.shape} does not fit radix {r}")
-    new = np.tensordot(matrix, reg.amps, axes=([1], [subsystem]))
-    new = np.moveaxis(new, 0, subsystem)
-    return Register(reg.radices, new, reg.cap)
-
-
 @functools.cache
 def fourier_matrix(d):
     """F_d with entries omega^{jk} / sqrt(d); built once per d, read-only."""
@@ -126,32 +115,11 @@ def fourier_matrix(d):
     return f
 
 
-def subset_matrix(radix, levels, block):
-    """Embed a len(levels) x len(levels) block into an identity of size radix."""
-    m = np.eye(radix, dtype=np.complex128)
-    idx = np.array(levels)
-    m[np.ix_(idx, idx)] = block
-    return m
-
-
-def apply_fourier(reg, subsystem, levels=None):
-    """Qudit Fourier gate F_d on the chosen levels, identity elsewhere.
-
-    ``levels[j]`` is the physical level playing the role of qudit level j,
-    e.g. nuclear states 7/2, 5/2, 3/2 encoded as (0, 1, 2); by default every
-    level of the subsystem.
-    """
-    radix = reg.radices[subsystem]
-    levels = tuple(range(radix)) if levels is None else tuple(levels)
-    if len(set(levels)) != len(levels):
-        raise ValueError(f"levels must be distinct, got {levels}")
-    if len(levels) < 2:
-        raise ValueError("a level subset needs at least two levels")
-    for lv in levels:
-        if not 0 <= lv < radix:
-            raise IndexError(f"level {lv} out of range")
-    block = fourier_matrix(len(levels))
-    return _apply_matrix(reg, subsystem, subset_matrix(radix, levels, block))
+def apply_fourier(reg, subsystem):
+    """Qudit Fourier gate F_d on every level of one subsystem."""
+    new = np.tensordot(fourier_matrix(reg.radices[subsystem]), reg.amps,
+                       axes=([1], [subsystem]))
+    return Register(reg.radices, np.moveaxis(new, 0, subsystem), reg.cap)
 
 
 @functools.cache

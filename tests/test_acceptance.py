@@ -266,7 +266,7 @@ def test_criterion_8_spectrum_counts():
         spec = sp.donor_spectrum(dp)
         n_esr = len(sp.enumerate_transitions(spec, "esr"))
         n_strong = len(sp.enumerate_transitions(
-            spec, "edsr", sp.SpectatorConvention(1, "fixed", 0)))
+            spec, "edsr", sp.SpectatorConvention(1, "fixed")))
         n_weak = len(sp.enumerate_transitions(
             spec, "edsr", sp.SpectatorConvention(2, "resolved")))
     ok = (dim16, dim128, n_esr, n_strong, n_weak) == (16, 128, 64, 7, 56) \

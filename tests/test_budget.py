@@ -50,6 +50,15 @@ class TestLossSuccess:
                            match=f"derived rate {rate} is not finite"):
             bg.loss_success(bg.CavityParams(**params))
 
+    @pytest.mark.parametrize("params", [
+        {"q_c": 1e300},            # the port rate vanishes next to the bath
+        {"omega_c_ghz": 1e-323},   # both rates underflow to 0
+    ])
+    def test_success_that_rounds_to_zero_is_rejected(self, params):
+        with pytest.raises(ValueError, match="photon success rounds to 0 "
+                           "for omega_c_ghz=.*, g_s_mhz=.*, q_i=.*, q_c="):
+            bg.loss_success(bg.CavityParams(**params))
+
     def test_loss_plus_success_is_one_exactly(self):
         for qi in np.geomspace(1e4, 1e8, 9):
             for qc in np.geomspace(1e3, 1e6, 7):

@@ -350,10 +350,32 @@ class TestBudgetCommand:
             (tmp_path / "table.json").write_text(json.dumps(table))
             table = str(tmp_path / "table.json")
         assert run("budget", "--program", str(f), "--table", table,
-                   "--output", str(tmp_path)) == 2
+                   "--output", str(tmp_path / "o")) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert not (tmp_path / "budget.json").exists()
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("field", ["colour", "levels"])
+    def test_unknown_field_is_named(self, tmp_path, capsys, field):
+        # a Fourier acts on every level of its emitter: a level subset is
+        # an unknown field like any other
+        f = tmp_path / "prog.json"
+        f.write_text(json.dumps(program(
+            [{"op": "fourier", "emitter": 0, field: [0, 1]}])))
+        assert run("budget", "--program", str(f),
+                   "--output", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            f"error: instruction has no field {field!r}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_success_that_rounds_to_zero_is_named(self, tmp_path, capsys):
+        # Q_c = 1e300 leaves a port rate that vanishes next to the bath rate
+        assert run("budget", "--sweep", "qc=1e300:1e300:lin:1",
+                   "--output", str(tmp_path / "o")) == 2
+        assert capsys.readouterr().err == (
+            "error: photon success rounds to 0 for omega_c_ghz=28.41, "
+            "g_s_mhz=3.0, q_i=1000000.0, q_c=1e+300\n")
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("prog,table,message", [
         pytest.param("six-ring", "single",

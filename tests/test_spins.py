@@ -158,8 +158,7 @@ class TestTransitions:
         assert len(sp.enumerate_transitions(double_spec, "esr")) == 64
 
     def test_strong_edsr_with_weak_fixed_is_7(self, double_spec):
-        conv = sp.SpectatorConvention(target=1, policy="fixed",
-                                      spectator_level=0)
+        conv = sp.SpectatorConvention(target=1, policy="fixed")
         assert len(sp.enumerate_transitions(double_spec, "edsr", conv)) == 7
 
     def test_weak_edsr_strong_resolved_is_56(self, double_spec):
@@ -183,11 +182,10 @@ class TestTransitions:
     def test_each_allowed_pair_listed_once(self, I):
         # reference: a walk over every level pair, keeping those the
         # selection rules allow
-        conventions = [None, sp.SpectatorConvention(1, "fixed", 0),
+        conventions = [None, sp.SpectatorConvention(1, "fixed"),
                        sp.SpectatorConvention(1, "resolved")]
         double_conventions = conventions + [
-            sp.SpectatorConvention(2, "fixed", 0),
-            sp.SpectatorConvention(2, "fixed", 1),
+            sp.SpectatorConvention(2, "fixed"),
             sp.SpectatorConvention(2, "resolved")]
         base = sp.SpinParams(I=I)
         for params, convs in ((base, conventions),
@@ -231,7 +229,7 @@ def _allowed_pairs(spec, kind, conv):
                 up, dn = (a, b) if a[0] == 0 else (b, a)
                 ok = (diff == [0, t] and dn[t] == up[t] + 1
                       and (conv.policy == "resolved" or all(
-                          a[s] == conv.spectator_level
+                          a[s] == sp.SPECTATOR_LEVEL
                           for s in range(1, n + 1) if s != t)))
             if ok:
                 out.append((spec.labels[j], spec.labels[i],

@@ -105,24 +105,31 @@ class TestFourier:
         j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
         assert np.array_equal(f, np.exp(2j * np.pi * j * k / d) / np.sqrt(d))
 
-    def test_subset_acts_inside_larger_space(self):
-        reg = sv.init_register([8], (0,))
-        out = sv.apply_fourier(reg, 0, (0, 1, 2))
-        expect = np.zeros(8, dtype=complex)
-        expect[:3] = 1 / np.sqrt(3)
-        assert np.allclose(out.amps, expect)
-
-    def test_rejects_duplicate_levels(self):
-        with pytest.raises(ValueError, match="distinct"):
-            sv.apply_fourier(sv.init_register([3], (0,)), 0, (1, 1))
-
-    def test_rejects_a_single_level(self):
-        with pytest.raises(ValueError, match="at least two"):
-            sv.apply_fourier(sv.init_register([3], (0,)), 0, (1,))
-
-    def test_rejects_level_out_of_range(self):
-        with pytest.raises(IndexError):
-            sv.apply_fourier(sv.init_register([3], (0,)), 0, (0, 3))
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(2, 8), min_size=1, max_size=4),
+           st.data())
+    def test_matches_the_full_range_subset_route_bit_for_bit(self, radices,
+                                                             data):
+        # the retired route: the d x d Fourier block written into np.eye
+        # over every level, then the same tensordot and moveaxis
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        amps = rng.normal(size=radices) + 1j * rng.normal(size=radices)
+        transposed = len(radices) > 1 and data.draw(st.booleans())
+        if transposed:
+            amps = np.transpose(np.ascontiguousarray(amps.transpose()))
+        reg = sv.Register(radices, amps / np.linalg.norm(amps))
+        assert reg.amps.flags.c_contiguous != transposed
+        axis = data.draw(st.integers(0, len(radices) - 1))
+        radix = radices[axis]
+        matrix = np.eye(radix, dtype=np.complex128)
+        matrix[np.ix_(range(radix), range(radix))] = sv.fourier_matrix(radix)
+        want = np.moveaxis(np.tensordot(matrix, reg.amps, axes=([1], [axis])),
+                           0, axis)
+        before = reg.amps.copy()
+        got = sv.apply_fourier(reg, axis).amps
+        assert got.tobytes() == want.tobytes()
+        assert got.strides == want.strides
+        assert np.array_equal(reg.amps, before)
 
 
 class TestPauliPowers:
