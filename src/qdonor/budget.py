@@ -90,19 +90,11 @@ def loss_success(c: CavityParams) -> LossReport:
                       loss, success, db, abs(db))
 
 
-@dataclass(frozen=True)
-class EmissionTime:
-    """1/g_s, both raw and in the angular-frequency reading of g_s."""
-
-    raw_us: float
-    angular_us: float
-
-
-def emission_time(g_s_mhz: float) -> EmissionTime:
+def emission_time(g_s_mhz: float) -> float:
+    """1/g_s in microseconds, g_s read as a plain (not angular) rate."""
     if g_s_mhz <= 0:
         raise ValueError("coupling must be positive")
-    raw = 1.0 / g_s_mhz
-    return EmissionTime(raw, raw / (2 * math.pi))
+    return 1.0 / g_s_mhz
 
 
 # -- operation tables -------------------------------------------------------
@@ -289,7 +281,7 @@ def _instruction_steps(ins, table, cavity):
     a duration, and a permutation one NMR step per level hop.
     """
     if ins.op == "emit":
-        t_e = emission_time(cavity.g_s_mhz).raw_us
+        t_e = emission_time(cavity.g_s_mhz)
         return [(1.0, (t_e, t_e))]
     if ins.op == "idle":
         dur = float(ins.duration or 0.0)

@@ -288,7 +288,7 @@ def cmd_budget(args):
               else bg.CavityParams(q_i=args.qi))
     result = {"loss": bg.loss_success(cavity).to_dict(),
               "cavity": cavity.to_dict(),
-              "emission_time_us": bg.emission_time(cavity.g_s_mhz).raw_us,
+              "emission_time_us": bg.emission_time(cavity.g_s_mhz),
               "table": table.name}
     if args.program:
         program = _load_program(args.program)

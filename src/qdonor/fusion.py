@@ -106,7 +106,7 @@ def project_pair(reg, i, j, a, b):
     prob = float(np.sum(np.abs(amps) ** 2))
     if prob <= sv.ZERO_PROBABILITY:
         raise ValueError(f"zero-probability projection onto Bell ({a},{b})")
-    return prob, sv._without_axes(reg, amps / math.sqrt(prob), (i, j))
+    return prob, sv.Register(amps / math.sqrt(prob))
 
 
 def check_fusable_chain(n):

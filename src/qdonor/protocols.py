@@ -422,7 +422,7 @@ def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
                 reg, (ins.emitter, ins.control_level), electron)
         elif ins.op == "emit":
             if ins.photon not in photon_axis:
-                reg, axis = sv.add_photon(reg, d)
+                reg, axis = sv.add_photon(reg, d, cap)
                 photon_axis[ins.photon] = axis
             sv.apply_emission(reg, photon_axis[ins.photon], ins.bin, electron)
             if ins.bin == d - 1:
@@ -557,7 +557,7 @@ def verify_w_state(trace):
     if trace.branches is None:
         raise ValueError("needs an outcome-enumerated trace")
     d = trace.program.d
-    target = sv.Register((d,), np.full(d, 1 / np.sqrt(d)))
+    target = sv.Register(np.full(d, 1 / np.sqrt(d)))
     rows = []
     ok = True
     for br in trace.branches:

@@ -126,9 +126,17 @@ class DoubleSpinParams:
 
     @classmethod
     def from_dict(cls, obj):
+        """A ``base.A`` or ``base.f_q`` off its default is rejected: the
+        molecule's couplings are its own ``A_s``/``A_w`` and ``f_q_s``/
+        ``f_q_w``, and the Hamiltonian reads nothing else."""
         _check_object(cls, obj)
         obj = dict(obj)
         base = SpinParams.from_dict(obj.pop("base", {}))
+        default = SpinParams()
+        if base.A != default.A or base.f_q != default.f_q:
+            raise ValueError(
+                "the molecule ignores base.A and base.f_q; set A_s and A_w "
+                "(hyperfine) or f_q_s and f_q_w (quadrupole) instead")
         return cls(base=base, **obj)
 
 
@@ -230,18 +238,16 @@ def nuclear_structure(I):
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """Eigen-decomposition with dominant product-basis labels.
+    """Eigenenergies with dominant product-basis labels.
 
     ``levels[i]`` is the per-subsystem level-index tuple of eigenstate i;
     ``labels[i]`` the matching display string, electron part first.
     """
 
     energies_mhz: tuple
-    eigenvectors: np.ndarray
     levels: tuple
     labels: tuple
     structure: tuple
-    dominance: tuple
 
     def label_to_index(self):
         return {lab: i for i, lab in enumerate(self.labels)}
@@ -283,9 +289,8 @@ def spectrum(h, structure):
         raise LabelingAmbiguityError(
             f"eigenstate {labels[worst]} dominance {doms[worst]:.3f} below "
             f"{MIN_DOMINANCE}")
-    return SpectrumResult(tuple(float(v) for v in vals), vecs,
-                          tuple(levels), tuple(labels), tuple(structure),
-                          tuple(doms))
+    return SpectrumResult(tuple(float(v) for v in vals), tuple(levels),
+                          tuple(labels), tuple(structure))
 
 
 def donor_spectrum(params):

@@ -55,32 +55,28 @@ class MeasurementRecord:
 
 
 class Register:
-    """Mixed-radix state vector over an ordered list of subsystems."""
+    """Mixed-radix state vector: one axis per subsystem, so its radices are
+    the amplitude array's shape."""
 
-    def __init__(self, radices, amps, cap=DEFAULT_AMPLITUDE_CAP):
-        self.radices = tuple(int(r) for r in radices)
-        if any(r < 2 for r in self.radices):
+    def __init__(self, amps):
+        self.amps = np.asarray(amps, dtype=np.complex128)
+        if any(r < 2 for r in self.amps.shape):
             raise ValueError(f"every radix must be >= 2, got {self.radices}")
-        size = math.prod(self.radices)
-        if size > cap:
-            raise CapacityError(
-                f"register of {size} amplitudes exceeds cap {cap}")
-        self.cap = cap
-        self.amps = np.asarray(amps, dtype=np.complex128).reshape(self.radices)
+
+    @property
+    def radices(self):
+        return self.amps.shape
 
     @property
     def n_subsystems(self):
-        return len(self.radices)
+        return self.amps.ndim
 
     @property
     def size(self):
         return int(self.amps.size)
 
-    def norm(self):
-        return float(np.linalg.norm(self.amps))
-
     def copy(self):
-        return Register(self.radices, self.amps.copy(), self.cap)
+        return Register(self.amps.copy())
 
     def __repr__(self):
         return f"Register(radices={self.radices})"
@@ -100,7 +96,7 @@ def init_register(radices, basis_index, cap=DEFAULT_AMPLITUDE_CAP):
         raise CapacityError(f"register of {size} amplitudes exceeds cap {cap}")
     amps = np.zeros(radices, dtype=np.complex128)
     amps[basis_index] = 1.0
-    return Register(radices, amps, cap)
+    return Register(amps)
 
 
 # -- single-subsystem unitaries -----------------------------------------
@@ -119,7 +115,7 @@ def apply_fourier(reg, subsystem):
     """Qudit Fourier gate F_d on every level of one subsystem."""
     new = np.tensordot(fourier_matrix(reg.radices[subsystem]), reg.amps,
                        axes=([1], [subsystem]))
-    return Register(reg.radices, np.moveaxis(new, 0, subsystem), reg.cap)
+    return Register(np.moveaxis(new, 0, subsystem))
 
 
 @functools.cache
@@ -175,11 +171,9 @@ def apply_pauli_power(reg, subsystem, kind, power):
     if kind == "X":
         if power == 0:
             return reg.copy()
-        rolled = _roll(reg.amps, subsystem, power)
-        return Register(reg.radices, rolled, reg.cap)
+        return Register(_roll(reg.amps, subsystem, power))
     if kind == "Z":
-        new = reg.amps * _z_phases(reg, subsystem, power)
-        return Register(reg.radices, new, reg.cap)
+        return Register(reg.amps * _z_phases(reg, subsystem, power))
     raise ValueError(f"unknown Pauli kind {kind!r} (expected 'X' or 'Z')")
 
 
@@ -231,21 +225,16 @@ def apply_conditional_flip(reg, control, target):
 # -- photon emission ------------------------------------------------------
 
 
-def add_photon(reg, d):
-    """Append a photon subsystem with d bins plus a vacuum level (index d)."""
+def add_photon(reg, d, cap):
+    """Append a photon subsystem with d bins plus a vacuum level (index d);
+    the register grows only here, so the amplitude cap is checked here."""
     size = reg.size * (d + 1)
-    if size > reg.cap:
+    if size > cap:
         raise CapacityError(f"adding a photon needs {size} amplitudes, "
-                            f"cap is {reg.cap}")
-    new_shape = reg.radices + (d + 1,)
-    new = np.zeros(new_shape, dtype=np.complex128)
+                            f"cap is {cap}")
+    new = np.zeros(reg.radices + (d + 1,), dtype=np.complex128)
     new[..., d] = reg.amps
-    return Register(new_shape, new, reg.cap), reg.n_subsystems
-
-
-def photon_vacuum_level(reg, photon):
-    """Vacuum is the last level while the photon is under construction."""
-    return reg.radices[photon] - 1
+    return Register(new), reg.n_subsystems
 
 
 def apply_emission(reg, photon, bin, electron):
@@ -275,15 +264,13 @@ def apply_emission(reg, photon, bin, electron):
 
 def finalize_photon(reg, photon):
     """Contract a photon's vacuum level away once every bin has been visited."""
-    vac = photon_vacuum_level(reg, photon)
+    vac = reg.radices[photon] - 1
     leftover = np.linalg.norm(reg.amps[_at(reg.n_subsystems, (photon, vac))])
     if leftover > NORM_ATOL:
         raise ValueError(
             f"photon {photon} still has vacuum amplitude {leftover:.3e}")
-    new = reg.amps[_at(reg.n_subsystems, (photon, slice(0, vac)))].copy()
-    radices = list(reg.radices)
-    radices[photon] = vac
-    return Register(radices, new, reg.cap)
+    return Register(
+        reg.amps[_at(reg.n_subsystems, (photon, slice(0, vac)))].copy())
 
 
 # -- two-subsystem gates --------------------------------------------------
@@ -320,12 +307,6 @@ def outcome_probabilities(reg, subsystem):
     return np.real(p)
 
 
-def _without_axes(reg, amps, axes):
-    """Register of ``amps``, shaped like ``reg`` without the given axes."""
-    keep = [ax for ax in range(reg.n_subsystems) if ax not in axes]
-    return Register(tuple(reg.radices[ax] for ax in keep), amps, reg.cap)
-
-
 def _project(reg, subsystem, outcome, p):
     """The renormalised slice at ``outcome``, without the measured axis.
 
@@ -334,7 +315,7 @@ def _project(reg, subsystem, outcome, p):
     """
     amps = reg.amps[_at(reg.n_subsystems, (subsystem, outcome))].copy()
     amps /= math.sqrt(p)
-    return _without_axes(reg, amps, (subsystem,))
+    return Register(amps)
 
 
 def _collapse(reg, subsystem, outcome, probs):
@@ -375,8 +356,7 @@ def remove_subsystem(reg, subsystem):
         raise ValueError(
             f"subsystem {subsystem} is not in a definite level "
             f"(probabilities {probs})")
-    return _without_axes(reg, np.take(reg.amps, level, axis=subsystem),
-                        (subsystem,))
+    return Register(np.take(reg.amps, level, axis=subsystem))
 
 
 def reorder_subsystems(reg, order):
@@ -384,8 +364,7 @@ def reorder_subsystems(reg, order):
     order = tuple(order)
     if sorted(order) != list(range(reg.n_subsystems)):
         raise ValueError(f"not a permutation: {order}")
-    new = np.transpose(reg.amps, order)
-    return Register(tuple(reg.radices[i] for i in order), new, reg.cap)
+    return Register(np.transpose(reg.amps, order))
 
 
 def overlap(reg_a, reg_b):

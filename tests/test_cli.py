@@ -78,6 +78,8 @@ class TestSpectrumCommand:
         ("double", '{"A_s": NaN}'), ("double", '{"A_s": Infinity}'),
         ("double", '{"A_w": NaN}'), ("double", '{"A_w": Infinity}'),
         ("double", '{"A_w": -1.0}'), ("double", '{"f_q_w": -1.0}'),
+        ("double", '{"base": {"A": 50.0}}'),
+        ("double", '{"base": {"f_q": 900.0}}'),
     ])
     def test_malformed_params_exit_2(self, tmp_path, capsys, device, text):
         f = tmp_path / "params.json"

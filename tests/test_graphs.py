@@ -329,7 +329,7 @@ class TestDressedExpectation:
                                         max_size=n)))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         amps = rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n)
-        reg = sv.Register((d,) * n, amps / np.linalg.norm(amps))
+        reg = sv.Register(amps / np.linalg.norm(amps))
         zeros = (0,) * n
         dressed = gm.apply_correction(reg, gm.CorrectionSet(zeros, zeros,
                                                             fvec))

@@ -347,6 +347,13 @@ class TestExecution:
         # two donor measurements; a sampled run extracts no photons
         assert calls == [0, 0]
 
+    def test_cap_is_checked_where_a_photon_is_added(self):
+        # a 4 x 2 emitter: the first photon needs 8 x 5 = 40 amplitudes and
+        # the second, after the first is finalised, 32 x 5 = 160
+        with pytest.raises(sv.CapacityError,
+                           match="needs 160 amplitudes, cap is 128"):
+            pr.execute(pr.compile_linear(4, 4), cap=128)
+
     def test_checksums_cover_every_instruction(self):
         prog = pr.compile_single_photon(3)
         trace = pr.execute(prog, enumerate_all=True)
