@@ -117,8 +117,8 @@ def _trace_dict(trace, seed, enumerated):
             for b in trace.branches]
     else:
         out["measurements"] = [
-            {"subsystem": r.subsystem, "outcome": r.outcome,
-             "probability": r.probability} for r in trace.records]
+            {"subsystem": emitter, "outcome": level, "probability": p}
+            for emitter, level, p in trace.records]
     return out
 
 

@@ -378,7 +378,7 @@ class ExecutionTrace:
     checksums: tuple
     final_register: sv.Register        # state before donor measurement
     branches: tuple | None = None      # enumerate mode
-    records: tuple = ()                # sampled mode MeasurementRecords
+    records: tuple = ()                # sampled mode (emitter, level, p)
 
 
 def _checksum(reg):
@@ -403,11 +403,13 @@ def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
     Measurement instructions must come last (the Program invariant), so the
     unitary prefix runs once and the readout branches share it.  The
     register is execute's own: permutations, flips, emissions and CZ update
-    it in place.
+    it in place.  The program fixes how the register grows, so the cap is
+    checked for every photon before the first gate.
     """
     d, ne = program.d, program.n_emitters
     reg = sv.init_register(
         (d,) * ne + (2,), (0,) * ne + (sv.ELECTRON_DOWN,), cap=cap)
+    _check_growth(program, reg.size, cap)
     electron = ne
     photon_axis = {}
     checksums = []
@@ -422,7 +424,7 @@ def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
                 reg, (ins.emitter, ins.control_level), electron)
         elif ins.op == "emit":
             if ins.photon not in photon_axis:
-                reg, axis = sv.add_photon(reg, d, cap)
+                reg, axis = sv.add_photon(reg, d)
                 photon_axis[ins.photon] = axis
             sv.apply_emission(reg, photon_axis[ins.photon], ins.bin, electron)
             if ins.bin == d - 1:
@@ -441,8 +443,9 @@ def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
     final = reg
 
     # Each measurement consumes its donor, so an emitter's axis is its index
-    # less the donors measured before it.  Branches nest in measure order,
-    # levels ascending; sampling keeps one outcome per step.
+    # less the donors measured before it.  Branches nest in measure order:
+    # enumeration follows every possible level, ascending, and sampling the
+    # one level the seeded generator draws.
     rng = np.random.default_rng(seed)
     branches = [((), 1.0, final)]
     records = []
@@ -450,14 +453,18 @@ def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
         axis = emitter - sum(m < emitter for m in measures[:k])
         nxt = []
         for outcomes, prob, state in branches:
+            probs = sv.outcome_probabilities(state, axis)
             if enumerate_all:
-                outs = sv.enumerate_outcomes(state, axis)
+                levels = [level for level, p in enumerate(probs)
+                          if p > sv.ZERO_PROBABILITY]
             else:
-                rec, collapsed = sv.measure(state, axis, rng)
-                records.append(dataclasses.replace(rec, subsystem=emitter))
-                outs = [(rec.outcome, rec.probability, collapsed)]
-            nxt += [(outcomes + (level,), prob * p, collapsed)
-                    for level, p, collapsed in outs]
+                levels = [int(rng.choice(len(probs), p=probs / probs.sum()))]
+            for level in levels:
+                p = float(probs[level])
+                nxt.append((outcomes + (level,), prob * p,
+                            sv.collapse(state, axis, level, p)))
+                if not enumerate_all:
+                    records.append((emitter, level, p))
         branches = nxt
     left = ne - len(measures)   # donors still held, ahead of the electron
     if enumerate_all:
@@ -466,6 +473,21 @@ def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
             for o, p, s in branches))
     return ExecutionTrace(program, tuple(checksums), final,
                           records=tuple(records))
+
+
+def _check_growth(program, size, cap):
+    """Raise CapacityError if the register, ``size`` amplitudes before the
+    first gate, would outgrow ``cap``: a photon's first emission multiplies
+    it by d + 1, and its last bin leaves d / (d + 1) of that."""
+    d = program.d
+    for ins in program.instructions:
+        if ins.op == "emit" and ins.bin == 0:
+            size *= d + 1
+            if size > cap:
+                raise sv.CapacityError(f"adding a photon needs {size} "
+                                       f"amplitudes, cap is {cap}")
+        if ins.op == "emit" and ins.bin == d - 1:
+            size = size // (d + 1) * d
 
 
 def _extract_photons(state, n_donors):

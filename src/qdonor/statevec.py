@@ -24,13 +24,17 @@ The four pulse primitives, :func:`apply_permutation`,
 :func:`apply_cz_power`, update ``reg.amps`` in place, keep its memory layout
 and return None.  :func:`apply_fourier` and :func:`apply_pauli_power`
 allocate anyway, so they return a new register and leave their input alone.
+
+The readout is :func:`outcome_probabilities` and :func:`collapse`, which
+consumes the measured axis; the caller chooses the levels to follow.  A
+register grows only in :func:`add_photon`, and ``protocols.execute`` checks
+a program's growth against the amplitude cap before its first gate.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,13 +49,6 @@ ELECTRON_UP = 1
 
 class CapacityError(RuntimeError):
     """Raised when an operation would exceed the amplitude cap."""
-
-
-@dataclass(frozen=True)
-class MeasurementRecord:
-    subsystem: int
-    outcome: int
-    probability: float
 
 
 class Register:
@@ -225,13 +222,8 @@ def apply_conditional_flip(reg, control, target):
 # -- photon emission ------------------------------------------------------
 
 
-def add_photon(reg, d, cap):
-    """Append a photon subsystem with d bins plus a vacuum level (index d);
-    the register grows only here, so the amplitude cap is checked here."""
-    size = reg.size * (d + 1)
-    if size > cap:
-        raise CapacityError(f"adding a photon needs {size} amplitudes, "
-                            f"cap is {cap}")
+def add_photon(reg, d):
+    """Append a photon subsystem with d bins plus a vacuum level (index d)."""
     new = np.zeros(reg.radices + (d + 1,), dtype=np.complex128)
     new[..., d] = reg.amps
     return Register(new), reg.n_subsystems
@@ -307,45 +299,19 @@ def outcome_probabilities(reg, subsystem):
     return np.real(p)
 
 
-def _project(reg, subsystem, outcome, p):
-    """The renormalised slice at ``outcome``, without the measured axis.
+def collapse(reg, subsystem, outcome, p):
+    """The renormalised slice at ``outcome``, whose probability is ``p``,
+    without the measured axis: a measurement consumes its subsystem.
 
     A basic-index view copied to C order: ``np.take`` would first copy a
     register that is not C-ordered whole, once per outcome.
     """
-    amps = reg.amps[_at(reg.n_subsystems, (subsystem, outcome))].copy()
-    amps /= math.sqrt(p)
-    return Register(amps)
-
-
-def _collapse(reg, subsystem, outcome, probs):
-    """Project onto one outcome, given the outcome probabilities; the
-    measured subsystem is consumed.
-
-    Returns (record, renormalised register without the measured axis);
-    errors on zero probability.
-    """
-    p = float(probs[outcome])
     if p <= ZERO_PROBABILITY:
         raise ValueError(
             f"collapse onto zero-probability outcome {outcome} requested")
-    return (MeasurementRecord(subsystem, int(outcome), p),
-            _project(reg, subsystem, outcome, p))
-
-
-def measure(reg, subsystem, rng):
-    """Born-rule sample with a seeded generator; returns (record, collapsed)."""
-    probs = outcome_probabilities(reg, subsystem)
-    outcome = int(rng.choice(len(probs), p=probs / probs.sum()))
-    return _collapse(reg, subsystem, outcome, probs)
-
-
-def enumerate_outcomes(reg, subsystem):
-    """(outcome, probability, collapsed) for every possible outcome, levels
-    ascending; each collapse consumes the subsystem."""
-    probs = outcome_probabilities(reg, subsystem)
-    return [(level, float(p), _project(reg, subsystem, level, float(p)))
-            for level, p in enumerate(probs) if p > ZERO_PROBABILITY]
+    amps = reg.amps[_at(reg.n_subsystems, (subsystem, outcome))].copy()
+    amps /= math.sqrt(p)
+    return Register(amps)
 
 
 def remove_subsystem(reg, subsystem):

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -749,3 +750,38 @@ def test_only_the_cli_prints(capsys):
             sp.donor_spectrum(params)
         bg.timing_fidelity_budget(trace.program, bg.sb2_table())
     assert capsys.readouterr() == ("", "")
+
+
+def readme_cli_examples():
+    """The lines of the sh block under README's "## CLI examples", with the
+    exit code each ``qdonor`` line is documented to give: 4 where the
+    comments above it say "(exit 4)", otherwise 0."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI examples\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines, comment = [], ""
+    for line in block.splitlines():
+        if line.startswith("#"):
+            comment += line
+        elif line.strip():
+            lines.append((shlex.split(line), 4 if "(exit 4)" in comment
+                          else 0))
+            comment = ""
+    return lines
+
+
+def test_readme_cli_examples_run_as_documented(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    got, want = [], []
+    for argv, code in readme_cli_examples():
+        if argv[0] == "echo":
+            text, redirect, name = argv[1:]
+            assert redirect == ">"
+            Path(name).write_text(text + "\n")
+            continue
+        assert argv[0] == "qdonor", argv
+        got.append((argv, cli.main(argv[1:])))
+        want.append((argv, code))
+    assert got == want
+    assert [code for _, code in want].count(4) == 1
+    assert len(want) > 1

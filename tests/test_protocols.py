@@ -5,6 +5,7 @@ import functools
 import hashlib
 import inspect
 import json
+import math
 import re
 import tracemalloc
 
@@ -320,6 +321,20 @@ class TestInstructionTable:
             pr.Program(2, 2, 0, (ins,))
 
 
+READOUT_PROGRAMS = {
+    **{f"linear-{n}": functools.partial(pr.compile_linear, n=n)
+       for n in (2, 3, 4)},
+    "six-ring": pr.compile_six_ring,
+    "ladder": pr.compile_ladder,
+}
+
+
+@functools.lru_cache(maxsize=None)
+def enumerated_run(name, d):
+    """The enumerated trace of one readout program, built once."""
+    return pr.execute(READOUT_PROGRAMS[name](d), enumerate_all=True)
+
+
 class TestExecution:
     def test_empty_program_keeps_initial_state(self):
         prog = pr.Program(3, 1, 0, ())
@@ -353,6 +368,45 @@ class TestExecution:
         with pytest.raises(sv.CapacityError,
                            match="needs 160 amplitudes, cap is 128"):
             pr.execute(pr.compile_linear(4, 4), cap=128)
+
+    def test_cap_is_checked_before_the_first_gate(self, monkeypatch):
+        # a 2 x 2 emitter with 22 photons finalised holds 2^24 amplitudes,
+        # so the 23rd needs 3 x 2^24: refused before any gate allocates
+        calls = []
+        monkeypatch.setattr(sv, "apply_fourier",
+                            lambda *args: calls.append(args))
+        with pytest.raises(sv.CapacityError,
+                           match="needs 50331648 amplitudes, cap is 33554432"):
+            pr.execute(pr.compile_linear(2, 30))
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(sorted(READOUT_PROGRAMS)), st.integers(2, 4),
+           st.integers(0, 2**32 - 1))
+    def test_sampled_readout_follows_one_enumerated_branch(self, name, d,
+                                                           seed):
+        """A sampled run has the enumerated run's digests, each of its
+        (emitter, level, p) records is the enumerated nesting's step at
+        those levels, and the enumerated branch it lands on has exactly
+        the product of its probabilities."""
+        full = enumerated_run(name, d)
+        sampled = pr.execute(full.program, seed=seed)
+        assert sampled.checksums == full.checksums
+        assert sampled.branches is None
+        state, measured = full.final_register, []
+        for emitter, level, p in sampled.records:
+            axis = emitter - sum(m < emitter for m in measured)
+            probs = sv.outcome_probabilities(state, axis)
+            assert probs[level] > sv.ZERO_PROBABILITY
+            assert p == float(probs[level])
+            state = sv.collapse(state, axis, level, p)
+            measured.append(emitter)
+        assert measured == [ins.emitter for ins in full.program.instructions
+                            if ins.op == "measure"]
+        outcomes = tuple(level for _, level, _ in sampled.records)
+        branch, = [b for b in full.branches if b.outcomes == outcomes]
+        assert branch.probability == math.prod(
+            p for _, _, p in sampled.records)
 
     def test_checksums_cover_every_instruction(self):
         prog = pr.compile_single_photon(3)

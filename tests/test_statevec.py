@@ -195,7 +195,7 @@ class TestPermutation:
         # the emission slot while the emitted branch leaves it
         reg = sv.init_register([2, 2], (0, 0))
         reg = sv.apply_fourier(reg, 0)
-        reg, ph = sv.add_photon(reg, 2, sv.DEFAULT_AMPLITUDE_CAP)
+        reg, ph = sv.add_photon(reg, 2)
         edsr_then_emit(reg, ph, 0)
         sv.apply_permutation(reg, 0, 0, 1)
         # level 0 now carries the not-yet-emitted branch (photon in vacuum)
@@ -248,7 +248,7 @@ class TestEmission:
         self.psi1 = sv.apply_fourier(reg, 0)
 
     def test_first_cycle_populates_only_top_branch(self):
-        reg, ph = sv.add_photon(self.psi1, 3, sv.DEFAULT_AMPLITUDE_CAP)
+        reg, ph = sv.add_photon(self.psi1, 3)
         edsr_then_emit(reg, ph, 0)
         vac = reg.radices[ph] - 1
         assert abs(reg.amps[0, 0, 0]) == pytest.approx(1 / np.sqrt(3))
@@ -257,7 +257,7 @@ class TestEmission:
 
     def test_emission_on_absent_level_is_identity(self):
         reg = sv.init_register([3, 2], (1, 0))
-        reg, ph = sv.add_photon(reg, 3, sv.DEFAULT_AMPLITUDE_CAP)
+        reg, ph = sv.add_photon(reg, 3)
         out = reg.copy()
         edsr_then_emit(out, ph, 0)
         assert np.allclose(out.amps, reg.amps)
@@ -265,7 +265,7 @@ class TestEmission:
     def test_full_inner_loop_correlates_bins_with_levels(self):
         # three cycles with interleaved permutations: one photon across
         # bins t1..t3, each bin paired with the branch that emitted it
-        reg, ph = sv.add_photon(self.psi1, 3, sv.DEFAULT_AMPLITUDE_CAP)
+        reg, ph = sv.add_photon(self.psi1, 3)
         edsr_then_emit(reg, ph, 0)
         for b in (1, 2):
             sv.apply_permutation(reg, 0, 0, b)
@@ -278,7 +278,7 @@ class TestEmission:
         assert np.linalg.norm(reg.amps) == pytest.approx(1.0)
 
     def test_double_emission_same_branch_rejected(self):
-        reg, ph = sv.add_photon(self.psi1, 3, sv.DEFAULT_AMPLITUDE_CAP)
+        reg, ph = sv.add_photon(self.psi1, 3)
         edsr_then_emit(reg, ph, 0)
         with pytest.raises(ValueError, match="already populated"):
             edsr_then_emit(reg, ph, 1)
@@ -286,7 +286,7 @@ class TestEmission:
     def test_emission_commutes_with_spectator_branch_gates(self):
         # a permutation confined to the non-emitting levels commutes with
         # the emission cycle
-        a, ph = sv.add_photon(self.psi1, 3, sv.DEFAULT_AMPLITUDE_CAP)
+        a, ph = sv.add_photon(self.psi1, 3)
         b = a.copy()
         sv.apply_permutation(a, 0, 1, 2)
         edsr_then_emit(a, ph, 0)
@@ -296,20 +296,12 @@ class TestEmission:
 
     def test_electron_axis_must_be_a_qubit(self):
         # axis 0 is the qutrit donor, not the electron
-        reg, ph = sv.add_photon(self.psi1, 3, sv.DEFAULT_AMPLITUDE_CAP)
+        reg, ph = sv.add_photon(self.psi1, 3)
         with pytest.raises(ValueError, match="radix 2"):
             sv.apply_emission(reg, ph, 0, 0)
 
-    def test_add_photon_checks_the_cap_it_is_given(self):
-        # psi1 holds 3 x 2 amplitudes, so a three-bin photon makes 6 x 4
-        reg, ph = sv.add_photon(self.psi1, 3, 24)
-        assert (reg.radices, ph) == ((3, 2, 4), 2)
-        with pytest.raises(sv.CapacityError,
-                           match="needs 24 amplitudes, cap is 23"):
-            sv.add_photon(self.psi1, 3, 23)
-
     def test_finalize_requires_empty_vacuum(self):
-        reg, ph = sv.add_photon(self.psi1, 3, sv.DEFAULT_AMPLITUDE_CAP)
+        reg, ph = sv.add_photon(self.psi1, 3)
         edsr_then_emit(reg, ph, 0)
         with pytest.raises(ValueError, match="vacuum"):
             sv.finalize_photon(reg, ph)
@@ -566,11 +558,19 @@ def reference_enumerate(reg, subsystem, atol=1e-14):
     return out
 
 
+def enumerated(reg, subsystem):
+    """(level, probability, collapsed) for every possible level, ascending:
+    the enumerating readout that ``protocols.execute`` runs per step."""
+    probs = sv.outcome_probabilities(reg, subsystem)
+    return [(level, float(p), sv.collapse(reg, subsystem, level, float(p)))
+            for level, p in enumerate(probs) if p > sv.ZERO_PROBABILITY]
+
+
 class TestMeasurement:
     def make_w3(self):
         reg = sv.init_register([3, 2], (0, 0))
         reg = sv.apply_fourier(reg, 0)
-        reg, ph = sv.add_photon(reg, 3, sv.DEFAULT_AMPLITUDE_CAP)
+        reg, ph = sv.add_photon(reg, 3)
         edsr_then_emit(reg, ph, 0)
         for b in (1, 2):
             sv.apply_permutation(reg, 0, 0, b)
@@ -585,7 +585,7 @@ class TestMeasurement:
 
     def test_collapse_top_outcome_gives_uniform_photon(self):
         reg = self.make_w3()
-        level, _, collapsed = sv.enumerate_outcomes(reg, 0)[0]
+        level, _, collapsed = enumerated(reg, 0)[0]
         assert level == 0
         photon = sv.remove_subsystem(collapsed, 0)
         # outcome 0 needs no phase correction: photon uniform over bins
@@ -597,7 +597,7 @@ class TestMeasurement:
         # the uniform state under some generalized-Z power
         reg = self.make_w3()
         target = sv.Register(uniform(3))
-        for level, prob, collapsed in sv.enumerate_outcomes(reg, 0):
+        for level, prob, collapsed in enumerated(reg, 0):
             photon = sv.remove_subsystem(collapsed, 0)
             fids = [sv.fidelity(sv.apply_pauli_power(photon, 0, "Z", a),
                                 target) for a in range(3)]
@@ -607,29 +607,35 @@ class TestMeasurement:
         # sum_k sqrt(p_k) |k> (x) branch_k is the measured state again
         reg = self.make_w3()
         rebuilt = np.zeros_like(reg.amps)
-        for level, prob, collapsed in sv.enumerate_outcomes(reg, 0):
+        for level, prob, collapsed in enumerated(reg, 0):
             assert collapsed.radices == reg.radices[1:]
             rebuilt[level] = math.sqrt(prob) * collapsed.amps
         assert np.max(np.abs(rebuilt - reg.amps)) < 1e-12
 
     def test_sampling_is_seeded(self):
+        # the draw of a sampled execute: one seed picks one level, and the
+        # collapse onto it leaves its input alone, so a second draw from
+        # the same register gives the same bytes
         reg = self.make_w3()
-        rec1, _ = sv.measure(reg, 0, np.random.default_rng(42))
-        rec2, _ = sv.measure(reg, 0, np.random.default_rng(42))
-        assert rec1 == rec2
+        probs = sv.outcome_probabilities(reg, 0)
+        picks = []
+        for _ in range(2):
+            rng = np.random.default_rng(42)
+            level = int(rng.choice(len(probs), p=probs / probs.sum()))
+            p = float(probs[level])
+            picks.append((level, p,
+                          sv.collapse(reg, 0, level, p).amps.tobytes()))
+        assert picks[0] == picks[1]
 
     def test_zero_probability_collapse_rejected(self):
-        # enumeration skips an impossible outcome; a sampler that picks
-        # one anyway is refused
+        # enumeration skips an impossible outcome; a collapse onto one is
+        # refused
         reg = sv.init_register([3], (1,))
-        assert [lv for lv, _, _ in sv.enumerate_outcomes(reg, 0)] == [1]
-
-        class PicksZero:
-            def choice(self, n, p):
-                return 0
-
-        with pytest.raises(ValueError, match="zero-probability"):
-            sv.measure(reg, 0, PicksZero())
+        assert [lv for lv, _, _ in enumerated(reg, 0)] == [1]
+        p = float(sv.outcome_probabilities(reg, 0)[0])
+        assert p == 0
+        with pytest.raises(ValueError, match="zero-probability outcome 0"):
+            sv.collapse(reg, 0, 0, p)
 
     def test_slices_of_a_transposed_register(self):
         # the layout the last Fourier on an axis leaves: that axis slowest.
@@ -641,7 +647,7 @@ class TestMeasurement:
         reg = sv.Register(np.moveaxis(amps / np.linalg.norm(amps), 0, 3))
         assert not reg.amps.flags.c_contiguous
         for axis in (0, 3, 7):
-            outs = sv.enumerate_outcomes(reg, axis)
+            outs = enumerated(reg, axis)
             assert [lv for lv, _, _ in outs] == [0, 1, 2, 3]
             for level, p, collapsed in outs:
                 ref = np.take(reg.amps, level, axis=axis) / math.sqrt(p)
@@ -650,7 +656,7 @@ class TestMeasurement:
                 assert collapsed.amps.tobytes() == ref.tobytes()
         tracemalloc.start()
         try:
-            outs = sv.enumerate_outcomes(reg, 3)
+            outs = enumerated(reg, 3)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -686,7 +692,7 @@ class TestMeasurement:
                     at[m] = level
                 full[tuple(at)] = state.amps
                 ref = reference_enumerate(sv.Register(full), sub)
-                got = sv.enumerate_outcomes(state, axis)
+                got = enumerated(state, axis)
                 assert [lv for lv, _, _ in got] == [lv for lv, _, _ in ref]
                 for (level, p, collapsed), (_, p_ref, copy) in zip(got, ref):
                     assert abs(p - p_ref) <= 4 * math.ulp(p_ref)
