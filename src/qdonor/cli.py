@@ -82,7 +82,7 @@ def cmd_spectrum(args):
                [f"{i},{label},{e!r}" for i, (label, e)
                 in enumerate(zip(spec.labels, spec.energies_mhz))])
     _write_csv(out / "transitions.csv", "from_label,to_label,frequency_MHz",
-               [f"{frm},{to},{f!r}" for frm, to, f in transitions.entries])
+               [f"{frm},{to},{f!r}" for frm, to, f in transitions])
     print(f"{args.device} donor: {len(spec.labels)} levels, "
           f"{len(transitions)} {args.kind.upper()} transitions "
           f"-> {out / 'spectrum.csv'}, {out / 'transitions.csv'}")
@@ -164,9 +164,9 @@ def cmd_protocol(args):
         report.update(rep.to_dict())
         ok = rep.passed
         if args.protocol == "ladder" and args.step_order == "literal" and not ok:
-            report["notes"] = report.get("notes", []) + [
+            report["notes"].append(
                 "literal published step order fails ladder verification; "
-                "rerun with --step-order verified"]
+                "rerun with --step-order verified")
     _write_json(out / "verification.json", report)
     print(f"{args.protocol} d={args.d}: verification "
           f"{'PASS' if ok else 'FAIL'} -> {out / 'verification.json'}")

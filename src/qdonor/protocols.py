@@ -195,7 +195,8 @@ class Program:
                     raise ValueError(
                         f"emitter {ins.emitter} measured more than once")
                 seen_measure.add(ins.emitter)
-            elif ins.emitter in seen_measure and ins.op != "idle":
+            elif ((ins.emitter in seen_measure or ins.other in seen_measure)
+                  and ins.op != "idle"):
                 raise ValueError(
                     f"instruction {ins} follows emitter measurement")
             if ins.op == "emit":
@@ -252,6 +253,38 @@ def _emission_block(emitter, photon, d):
     return ins
 
 
+def _emission_round(n_emitters, first_photon, d):
+    """Each emitter in turn emits one photon while every other one idles."""
+    ins = []
+    for e in range(n_emitters):
+        ins += [idle(other) for other in range(n_emitters) if other != e]
+        ins += _emission_block(e, first_photon + e, d)
+    return ins
+
+
+def _columns(d, n_emitters, n_columns, rungs):
+    """The emission cycle both schemes run, then donor readout.
+
+    Each column is a Fourier on every emitter, a CZ between the two
+    emitters if the column is in ``rungs``, then one emission round.  One
+    final Fourier precedes the donor measurements, matching the worked two-
+    and three-photon sequences rather than the terser step table.
+    """
+    _check_dim(d)
+    if n_columns < 1:
+        raise ValueError("need at least one photon")
+    emitters = range(n_emitters)
+    ins = []
+    for col in range(n_columns):
+        ins += [fourier(e) for e in emitters]
+        if col in rungs:
+            ins.append(cz(0, 1))
+        ins += _emission_round(n_emitters, n_emitters * col, d)
+    ins += [fourier(e) for e in emitters]
+    ins += [measure_donor(e) for e in emitters]
+    return Program(d, n_emitters, n_emitters * n_columns, tuple(ins))
+
+
 def compile_single_photon(d):
     """One photon spread coherently over d time-bins, then donor readout:
     the one-photon linear program."""
@@ -259,46 +292,8 @@ def compile_single_photon(d):
 
 
 def compile_linear(d, n):
-    """n-photon linear graph state from one emitter.
-
-    Each cycle is a Fourier followed by a full emission block; one final
-    Fourier precedes the donor measurement, matching the worked two- and
-    three-photon sequences rather than the terser step table.
-    """
-    _check_dim(d)
-    if n < 1:
-        raise ValueError("need at least one photon")
-    ins = []
-    for p in range(n):
-        ins.append(fourier(0))
-        ins += _emission_block(0, p, d)
-    ins.append(fourier(0))
-    ins.append(measure_donor(0))
-    return Program(d, 1, n, tuple(ins))
-
-
-def _paired_blocks(first_photon, d):
-    """Emitter 0 emits while 1 idles, then the roles swap."""
-    ins = [idle(1)]
-    ins += _emission_block(0, first_photon, d)
-    ins.append(idle(0))
-    ins += _emission_block(1, first_photon + 1, d)
-    return ins
-
-
-def _coupled_columns(d, cz_columns):
-    """Three columns of Fourier pair and paired emission, then readout.
-
-    The columns in ``cz_columns`` get a CZ right after their Fourier pair.
-    """
-    ins = []
-    for col in range(3):
-        ins += [fourier(0), fourier(1)]
-        if col in cz_columns:
-            ins.append(cz(0, 1))
-        ins += _paired_blocks(2 * col, d)
-    ins += [fourier(0), fourier(1), measure_donor(0), measure_donor(1)]
-    return Program(d, 2, 6, tuple(ins))
+    """n-photon linear graph state from one emitter: n columns, no CZ."""
+    return _columns(d, 1, n, ())
 
 
 def compile_six_ring(d):
@@ -307,8 +302,7 @@ def compile_six_ring(d):
     Follows the step table literally: the ring-closing CZ lands between the
     second Fourier pair and the final emission round.
     """
-    _check_dim(d)
-    return _coupled_columns(d, (0, 2))
+    return _columns(d, 2, 3, (0, 2))
 
 
 def compile_ladder(d, step_order="verified"):
@@ -319,19 +313,19 @@ def compile_ladder(d, step_order="verified"):
     ladder verification (the middle rung never forms).  The default
     "verified" order applies each CZ right after the Fourier pair that
     precedes its emission round: one CZ per vertical edge, which is what the
-    figure caption describes.
+    figure caption describes.  The literal order is written out as printed.
     """
     _check_dim(d)
     if step_order not in ("verified", "literal"):
         raise ValueError(f"unknown step_order {step_order!r}")
     if step_order == "verified":
-        return _coupled_columns(d, (0, 1, 2))
+        return _columns(d, 2, 3, (0, 1, 2))
     ins = [fourier(0), fourier(1), cz(0, 1)]
-    ins += _paired_blocks(0, d)
+    ins += _emission_round(2, 0, d)
     ins += [fourier(0), fourier(1)]
-    ins += _paired_blocks(2, d)
+    ins += _emission_round(2, 2, d)
     ins += [cz(0, 1), fourier(0), fourier(1), cz(0, 1)]
-    ins += _paired_blocks(4, d)
+    ins += _emission_round(2, 4, d)
     ins += [measure_donor(0), measure_donor(1)]
     return Program(d, 2, 6, tuple(ins))
 
@@ -524,7 +518,6 @@ class VerificationReport:
     graph: gm.GraphSpec
     photon_order: tuple
     branches: tuple
-    notes: tuple = ()
 
     @property
     def passed(self):
@@ -536,7 +529,7 @@ class VerificationReport:
             "photon_order": list(self.photon_order),
             "passed": bool(self.passed),
             "branches": [b.to_dict() for b in self.branches],
-            "notes": list(self.notes),
+            "notes": [],
         }
 
 

@@ -329,22 +329,10 @@ class SpectatorConvention:
             raise ValueError(f"unknown spectator policy {self.policy!r}")
 
 
-@dataclass(frozen=True)
-class TransitionList:
-    kind: str
-    entries: tuple  # (from_label, to_label, frequency_mhz)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def to_dict(self):
-        return {"kind": self.kind,
-                "entries": [[f, t, x] for f, t, x in self.entries]}
-
-
 def enumerate_transitions(spec: SpectrumResult, kind,
                           convention: SpectatorConvention | None = None):
-    """Allowed transitions under the stated selection rules.
+    """Allowed transitions under the stated selection rules, as a tuple of
+    (from_label, to_label, frequency_mhz) sorted by frequency.
 
     ESR: electron flips, every nuclear level fixed.  NMR: electron fixed,
     one nucleus moves by one projection (the targeted one if a convention
@@ -374,7 +362,7 @@ def enumerate_transitions(spec: SpectrumResult, kind,
             lo, hi = min(i, j), max(i, j)
             entries.append((spec.labels[hi], spec.labels[lo], float(f)))
     entries.sort(key=lambda e: (e[2], e[0], e[1]))
-    return TransitionList(kind, tuple(entries))
+    return tuple(entries)
 
 
 def _partners(lv, kind, conv, structure, n_nuclei, nmr_targets):
@@ -468,7 +456,7 @@ def sensitivity_sweep(params, perturbations, kind="esr"):
     reference.
     """
     base_tr = enumerate_transitions(donor_spectrum(params), kind)
-    base = {(f, t): x for f, t, x in base_tr.entries}
+    base = {(f, t): x for f, t, x in base_tr}
     rows = []
     for name, delta, mode in perturbations:
         record = getattr(params, "base", params) if name == "B0" else params
@@ -486,7 +474,7 @@ def sensitivity_sweep(params, perturbations, kind="esr"):
                 else replace(params, base=moved))
         new_tr = enumerate_transitions(donor_spectrum(newp), kind)
         shifts = []
-        for f, t, x in new_tr.entries:
+        for f, t, x in new_tr:
             if (f, t) in base:
                 shifts.append((f, t, x - base[(f, t)]))
         rows.append({
@@ -496,7 +484,8 @@ def sensitivity_sweep(params, perturbations, kind="esr"):
             "shifts_mhz": shifts,
             "max_abs_shift_mhz": max((abs(s[2]) for s in shifts), default=0.0),
         })
-    return {"kind": kind, "baseline": base_tr.to_dict(), "perturbed": rows}
+    baseline = {"kind": kind.lower(), "entries": [list(e) for e in base_tr]}
+    return {"kind": kind, "baseline": baseline, "perturbed": rows}
 
 
 def default_perturbations(double=False):

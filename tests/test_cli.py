@@ -298,6 +298,10 @@ class TestBudgetCommand:
                                "levels": [1]}]), "sb2", id="one-level"),
         pytest.param(program([{"op": "cz", "emitter": 0, "other": 0}]), "sb2",
                      id="cz-with-itself"),
+        pytest.param(program([{"op": "measure", "emitter": 0},
+                              {"op": "cz", "emitter": 1, "other": 0,
+                               "weight": 1}]), "sb2",
+                     id="cz-on-a-read-out-partner"),
         pytest.param(program([{"op": "cz", "emitter": 0, "other": 1}]), "sb2",
                      id="cz-without-weight"),
         pytest.param(program([], d=None), "sb2", id="null-d"),

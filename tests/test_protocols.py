@@ -96,6 +96,33 @@ class TestCompilers:
             pr.Program(2, 1, 1, (
                 pr.fourier(0), pr.edsr(0, 0), pr.emit(0, 0, 1)))
 
+    @pytest.mark.parametrize("gate", [pr.cz(0, 1), pr.cz(1, 0)])
+    def test_no_gate_on_a_read_out_donor(self, gate):
+        # a CZ names two emitters; either one read out rejects it
+        with pytest.raises(ValueError, match="follows emitter measurement"):
+            pr.Program(2, 2, 0, (pr.fourier(0), pr.fourier(1),
+                                 pr.measure_donor(0), gate))
+
+    def test_every_compiled_program_is_pinned(self):
+        # one SHA-256 over every program the compilers make at d = 2..8,
+        # the ones too large to execute included
+        h = hashlib.sha256()
+        for d in range(2, 9):
+            progs = [pr.compile_single_photon(d), pr.compile_six_ring(d),
+                     pr.compile_ladder(d), pr.compile_ladder(d, "literal")]
+            progs += [pr.compile_linear(d, n) for n in range(1, 9)]
+            for p in progs:
+                h.update(json.dumps(p.to_dict(), sort_keys=True).encode())
+        assert h.hexdigest() == (
+            "398c85dae5a1a4ca7647ed83546885f1b2bfb49c04af54f25c1d2bfcca2007d7")
+        # the dimension is checked before anything else
+        with pytest.raises(sv.CapacityError):
+            pr.compile_linear(9, 0)
+        with pytest.raises(sv.CapacityError):
+            pr.compile_ladder(9, "bogus")
+        with pytest.raises(ValueError, match="need at least one photon"):
+            pr.compile_linear(2, 0)
+
 
 def one_of_every_tag():
     """A d=3, two-emitter program with every instruction tag.

@@ -104,7 +104,7 @@ class TestHamiltonians:
         # weak coupling
         esr = sp.enumerate_transitions(double_spec, "esr")
         freqs = {}
-        for frm, to, f in esr.entries:
+        for frm, to, f in esr:
             strong = frm.split(":")[1]
             freqs.setdefault(strong, []).append(f)
         assert len(freqs) == 8
@@ -168,8 +168,8 @@ class TestTransitions:
 
     def test_frequencies_positive_and_unique_pairs(self, double_spec):
         tr = sp.enumerate_transitions(double_spec, "esr")
-        assert all(f > 0 for _, _, f in tr.entries)
-        pairs = {frozenset((a, b)) for a, b, _ in tr.entries}
+        assert all(f > 0 for _, _, f in tr)
+        pairs = {frozenset((a, b)) for a, b, _ in tr}
         assert len(pairs) == len(tr)
 
     @pytest.mark.parametrize("I", [0.5, 2.5, 4.5])
@@ -188,7 +188,7 @@ class TestTransitions:
             spec = sp.donor_spectrum(params)
             for kind in ("esr", "nmr", "edsr"):
                 for conv in convs:
-                    got = sp.enumerate_transitions(spec, kind, conv).entries
+                    got = sp.enumerate_transitions(spec, kind, conv)
                     assert got == _allowed_pairs(spec, kind, conv)
 
     def test_unknown_kind_rejected(self, double_spec):

@@ -62,10 +62,27 @@ def command_set():
         ("cap-100", ["protocol", "run", "--protocol", "six-ring", "--d", "2",
                      "--cap", "100"]),
     ]
+    # d = 6..8: the compilers' upper range, within the amplitude cap
+    for d in (6, 7):
+        cmds.append((f"verify-linear-{d}-3",
+                     ["protocol", "verify", "--protocol", "linear", "--d",
+                      str(d), "--n", "3"]))
+    cmds += [
+        ("verify-single-photon-8", ["protocol", "verify", "--protocol",
+                                    "single-photon", "--d", "8"]),
+        ("run-linear-8-seed", ["protocol", "run", "--protocol", "linear",
+                               "--d", "8", "--n", "4", "--seed", "5"]),
+        ("run-six-ring-6-seed", ["protocol", "run", "--protocol", "six-ring",
+                                 "--d", "6", "--seed", "2"]),
+        ("run-literal-6-seed", ["protocol", "run", "--protocol", "ladder",
+                                "--d", "6", "--step-order", "literal",
+                                "--seed", "2"]),
+    ]
     for d in range(2, 6):
         cmds.append((f"fusion-{d}", ["fusion", "--d", str(d)]))
         cmds.append((f"fusion-{d}-chain6",
                      ["fusion", "--d", str(d), "--chain-n", "6"]))
+    for d in range(2, 9):
         for target in ("ring6", "ladder23"):
             cmds.append((f"compare-{target}-{d}",
                          ["compare", "--d", str(d), "--target", target]))
