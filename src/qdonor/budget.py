@@ -131,7 +131,8 @@ class OperationTable:
 
     def row(self, key):
         if key not in self.rows:
-            raise KeyError(f"operation table {self.name!r} has no row {key!r}")
+            raise ValueError(
+                f"operation table {self.name!r} has no row {key!r}")
         return self.rows[key]
 
     def to_dict(self):
@@ -277,7 +278,7 @@ def _instruction_steps(ins, table, cavity):
     """Charge one instruction the table row ``protocols.OPS`` names, as a
     list of (fidelity, (min, max) duration) steps.
 
-    A table without that row raises KeyError.  Emission and idle are charged
+    A table without that row raises ValueError.  Emission and idle are charged
     a duration, and a permutation one NMR step per level hop.
     """
     if ins.op == "emit":

@@ -180,7 +180,8 @@ def cmd_fusion(args):
     seed = _seed(args)
     fu.check_fusable_chain(args.chain_n)
     out = Path(args.output)
-    table = {str(d): fu.success_probability(d) for d in range(2, 9)}
+    table = {str(d): fu.success_probability(d)
+             for d in range(2, pr.MAX_SINGLE_PHOTON_D + 1)}
     result = {
         "d": args.d,
         "success_probability": fu.success_probability(args.d),
@@ -407,10 +408,8 @@ def main(argv=None):
     except sv.CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (ValueError, KeyError, OSError) as exc:
-        # str() of a KeyError is the repr of its message, quotes and all
-        msg = exc.args[0] if isinstance(exc, KeyError) else exc
-        print(f"error: {msg}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

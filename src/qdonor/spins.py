@@ -455,6 +455,7 @@ def sensitivity_sweep(params, perturbations, kind="esr"):
     Transitions are matched by their labels against the unperturbed
     reference.
     """
+    kind = kind.lower()
     base_tr = enumerate_transitions(donor_spectrum(params), kind)
     base = {(f, t): x for f, t, x in base_tr}
     rows = []
@@ -484,7 +485,7 @@ def sensitivity_sweep(params, perturbations, kind="esr"):
             "shifts_mhz": shifts,
             "max_abs_shift_mhz": max((abs(s[2]) for s in shifts), default=0.0),
         })
-    baseline = {"kind": kind.lower(), "entries": [list(e) for e in base_tr]}
+    baseline = {"kind": kind, "entries": [list(e) for e in base_tr]}
     return {"kind": kind, "baseline": baseline, "perturbed": rows}
 
 

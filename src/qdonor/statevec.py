@@ -324,20 +324,3 @@ def remove_subsystem(reg, subsystem):
             f"(probabilities {probs})")
     return Register(np.take(reg.amps, level, axis=subsystem))
 
-
-def reorder_subsystems(reg, order):
-    """Permute subsystem axes: new axis i holds old axis order[i]."""
-    order = tuple(order)
-    if sorted(order) != list(range(reg.n_subsystems)):
-        raise ValueError(f"not a permutation: {order}")
-    return Register(np.transpose(reg.amps, order))
-
-
-def overlap(reg_a, reg_b):
-    if reg_a.radices != reg_b.radices:
-        raise ValueError("registers have different shapes")
-    return complex(np.vdot(reg_a.amps, reg_b.amps))
-
-
-def fidelity(reg_a, reg_b):
-    return abs(overlap(reg_a, reg_b)) ** 2

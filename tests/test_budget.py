@@ -248,7 +248,7 @@ class TestTimingBudget:
 
     def test_unmapped_kind_rejected(self):
         # the single-donor table has no CZ row
-        with pytest.raises(KeyError, match="cz"):
+        with pytest.raises(ValueError, match="cz"):
             bg.timing_fidelity_budget([pr.cz(0, 1)], bg.single_donor_table())
 
     def test_coherence_flags(self):

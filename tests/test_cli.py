@@ -789,3 +789,17 @@ def test_readme_cli_examples_run_as_documented(tmp_path, monkeypatch):
     assert got == want
     assert [code for _, code in want].count(4) == 1
     assert len(want) > 1
+
+
+def test_surface_tool_counts_every_source_line():
+    repo = Path(__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(repo / "tools" / "surface.py"),
+         str(repo / "src")],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    total = next(line.split() for line in proc.stdout.splitlines()
+                 if line.split()[0] == "total")
+    assert int(total[1]) == sum(
+        len(p.read_text().splitlines())
+        for p in (repo / "src" / "qdonor").glob("*.py"))

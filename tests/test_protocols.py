@@ -258,7 +258,7 @@ class TestInstructionTable:
             100 + 3 + 2.5 + 3 * 8.5 + 3 / 3.0 + 3 * 50 + 2 * 1000)
         assert rep.fidelity == pytest.approx(
             0.998 * 0.995**3 * 0.998**3 * 0.90**2, rel=1e-12)
-        with pytest.raises(KeyError, match="cz"):
+        with pytest.raises(ValueError, match="cz"):
             bg.timing_fidelity_budget(prog, bg.single_donor_table())
 
     def test_import_time_tables_match_their_sources(self):
@@ -687,6 +687,17 @@ class TestSinglePhoton:
         assert first.outcomes == (0,)
         assert np.allclose(np.abs(first.photons.amps), 1 / np.sqrt(2))
 
+    def test_w_state_rows_are_pinned(self):
+        # one SHA-256 over every (outcomes, z_power, fidelity) row and flag
+        # at d = 2..8, so the fidelity's bits are pinned, not only its bound
+        h = hashlib.sha256()
+        for d in range(2, pr.MAX_SINGLE_PHOTON_D + 1):
+            trace = pr.execute(pr.compile_single_photon(d),
+                               enumerate_all=True)
+            h.update(repr(pr.verify_w_state(trace)).encode())
+        assert h.hexdigest() == (
+            "6f3fae241f557e5f2faaa149f1feb679cac6268ac0108d0c4b2636a1fd6dccd7")
+
 
 class TestLinearProtocol:
     def test_two_photon_amplitudes_match_worked_expansion(self):
@@ -829,9 +840,39 @@ class TestVerificationReports:
 
     def test_photon_count_mismatch(self):
         trace = pr.execute(pr.compile_linear(2, 2), enumerate_all=True)
-        graph, _ = pr.target_graph("linear", 2, 3)
+        graph, order = pr.target_graph("linear", 2, 3)
         with pytest.raises(ValueError, match="photon count"):
-            pr.verify_against_target(trace, graph)
+            pr.verify_against_target(trace, graph, order)
+
+    @pytest.mark.parametrize("order", [(0, 0, 1), (0, 1, 3), (0, -1, 1),
+                                       (0, 1)])
+    def test_order_must_be_a_permutation(self, order):
+        # np.transpose alone would accept (0, -1, 1)
+        trace = pr.execute(pr.compile_linear(2, 3), enumerate_all=True)
+        graph, _ = pr.target_graph("linear", 2, 3)
+        with pytest.raises(ValueError, match=re.escape(str(order))):
+            pr.verify_against_target(trace, graph, order)
+
+    def test_a_branch_passes_exactly_when_a_correction_is_found(self):
+        # every report the pinned test hashes, the failing literal ladder
+        # included, and every Bell outcome of a fused six-chain
+        reports = [verified(name, d) for d in (2, 3, 4)
+                   for name in ("six-ring", "ladder", "linear")]
+        reports.append(verified("ladder", 2, "literal"))
+        verdicts = [(br.passed, br.correction, br.max_deviation)
+                    for rep in reports for br in rep.branches]
+        for d in (2, 3):
+            chain = gm.build_graph_state(gm.make_linear(6, d))
+            verdicts += [(out.success, out.correction, out.max_deviation)
+                         for out in (fu.fuse_chain_ends(chain, outcome=(a, b))
+                                     for a in range(d) for b in range(d))]
+        assert any(not ok for ok, _, _ in verdicts)
+        for ok, corr, dev in verdicts:
+            assert ok is (corr is not None)
+            if corr is None:
+                assert dev == math.inf
+            else:
+                assert dev <= gm.STABILIZER_ATOL
 
     def test_report_bytes_are_pinned(self):
         # one SHA-256 over the verification reports of both schemes: the

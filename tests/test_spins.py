@@ -287,6 +287,11 @@ class TestSensitivity:
         assert out["perturbed"][0]["max_abs_shift_mhz"] == pytest.approx(
             0.0, abs=1e-9)
 
+    def test_kind_is_case_insensitive(self, single):
+        perts = [("B0", 1e-3, "absolute")]
+        assert sp.sensitivity_sweep(single, perts, "ESR") == \
+            sp.sensitivity_sweep(single, perts, "esr")
+
     def test_unknown_parameter_rejected(self, single):
         with pytest.raises(ValueError):
             sp.sensitivity_sweep(single, [("A_s", 1.0, "absolute")])

@@ -520,9 +520,9 @@ class TestUnitarity:
             a /= np.linalg.norm(a)
             b /= np.linalg.norm(b)
             ra, rb = sv.Register(a), sv.Register(b)
-            before = sv.overlap(ra, rb)
-            after = sv.overlap(sv.apply_fourier(ra, 1),
-                               sv.apply_fourier(rb, 1))
+            before = np.vdot(ra.amps, rb.amps)
+            after = np.vdot(sv.apply_fourier(ra, 1).amps,
+                            sv.apply_fourier(rb, 1).amps)
             assert abs(before - after) < 1e-10
 
     def test_norm_preserved_along_random_circuit(self):
@@ -596,11 +596,11 @@ class TestMeasurement:
         # exhaustive diagonal-correction search: each outcome maps back to
         # the uniform state under some generalized-Z power
         reg = self.make_w3()
-        target = sv.Register(uniform(3))
+        target = uniform(3)
         for level, prob, collapsed in enumerated(reg, 0):
             photon = sv.remove_subsystem(collapsed, 0)
-            fids = [sv.fidelity(sv.apply_pauli_power(photon, 0, "Z", a),
-                                target) for a in range(3)]
+            fids = [abs(np.vdot(sv.apply_pauli_power(photon, 0, "Z", a).amps,
+                                target)) ** 2 for a in range(3)]
             assert max(fids) == pytest.approx(1.0, abs=1e-10)
 
     def test_enumerated_collapses_rebuild_the_state(self):
@@ -704,11 +704,3 @@ class TestMeasurement:
             branches = nxt
         assert math.fsum(p for _, p, _ in branches) == pytest.approx(
             1, abs=1e-12)
-
-
-class TestSerialization:
-    def test_reorder_subsystems(self):
-        reg = sv.init_register([2, 3, 4], (1, 2, 3))
-        out = sv.reorder_subsystems(reg, (2, 0, 1))
-        assert out.radices == (4, 2, 3)
-        assert out.amps[3, 1, 2] == 1.0
