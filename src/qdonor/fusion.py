@@ -119,11 +119,8 @@ def fused_chain_graph(n, d):
     """Target after fusing the ends of an n-chain: the middle n-2 vertices
     with one extra unit of weight joining the old ends' neighbours."""
     check_fusable_chain(n)
-    m = np.zeros((n - 2, n - 2), dtype=int)
-    for k in range(n - 3):
-        m[k, k + 1] = m[k + 1, k] = 1
-    m[0, n - 3] = (m[0, n - 3] + 1) % d
-    m[n - 3, 0] = m[0, n - 3]
+    m = gm.make_linear(n - 2, d).matrix()
+    m[0, -1] = m[-1, 0] = (m[0, -1] + 1) % d
     return gm.GraphSpec.from_matrix(d, m)
 
 
@@ -205,9 +202,10 @@ def fuse_chain_ends(reg, outcome=(0, 0), seed=None):
 
 # -- scheme comparison -------------------------------------------------------
 
+# target -> (scheme B's protocol, its compiler, fusions scheme A needs)
 _TARGETS = {
-    "ring6": ("six-ring", 1),
-    "ladder23": ("ladder", 2),
+    "ring6": ("six-ring", pr.compile_six_ring, 1),
+    "ladder23": ("ladder", pr.compile_ladder, 2),
 }
 
 
@@ -225,7 +223,7 @@ def compare_schemes(d, target="ring6"):
     if target not in _TARGETS:
         raise ValueError(f"unsupported target {target!r}; "
                          f"choose from {sorted(_TARGETS)}")
-    protocol, n_fusions = _TARGETS[target]
+    protocol, compile_b, n_fusions = _TARGETS[target]
     p = success_probability(d)      # checks d before the graph is built
     graph, _ = pr.target_graph(protocol, d)
     cavity = bg.CavityParams()
@@ -234,10 +232,7 @@ def compare_schemes(d, target="ring6"):
     chain_n = graph.n + 2 * n_fusions
     chain_budget = bg.timing_fidelity_budget(
         pr.compile_linear(d, chain_n), bg.single_donor_table(), cavity)
-    if protocol == "six-ring":
-        program_b = pr.compile_six_ring(d)
-    else:
-        program_b = pr.compile_ladder(d)
+    program_b = compile_b(d)
     direct_budget = bg.timing_fidelity_budget(program_b, bg.sb2_table(),
                                               cavity)
 

@@ -65,36 +65,6 @@ def make_linear(n, d):
     return GraphSpec.from_matrix(d, m)
 
 
-def make_ring(n, d):
-    """Cycle graph, each vertex of degree two, all edges weight 1."""
-    if n < 3:
-        raise ValueError("a ring needs n >= 3")
-    m = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        j = (i + 1) % n
-        m[i, j] = m[j, i] = 1
-    return GraphSpec.from_matrix(d, m)
-
-
-def make_ladder(rows, cols, d):
-    """Grid graph, all edges weight 1; vertex (r, c) has index r*cols + c.
-
-    A 2x3 ladder has two rails of two edges each plus three rungs.
-    """
-    if rows < 1 or cols < 1 or rows * cols < 2:
-        raise ValueError(f"bad ladder shape {rows}x{cols}")
-    n = rows * cols
-    m = np.zeros((n, n), dtype=int)
-    for r in range(rows):
-        for c in range(cols):
-            v = r * cols + c
-            if c + 1 < cols:
-                m[v, v + 1] = m[v + 1, v] = 1
-            if r + 1 < rows:
-                m[v, v + cols] = m[v + cols, v] = 1
-    return GraphSpec.from_matrix(d, m)
-
-
 # -- construction ---------------------------------------------------------
 
 

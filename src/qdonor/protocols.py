@@ -296,13 +296,36 @@ def compile_linear(d, n):
     return _columns(d, 1, n, ())
 
 
+# Each two-emitter protocol: its column count, the columns that carry a CZ
+# rung, and the published vertex order (vertex i is photon order[i]).
+_COUPLED = {"six-ring": (3, (0, 2), (4, 2, 0, 1, 3, 5)),
+            "ladder": (3, (0, 1, 2), (0, 2, 4, 1, 3, 5))}
+
+
+def _column_graph(n_emitters, n_columns, rungs):
+    """Adjacency of the graph ``_columns`` makes, photon p as vertex p.
+
+    Each emitter's photons form a rail: photon p joins photon
+    p + n_emitters.  Each rung column c joins photons 2c and 2c + 1.  All
+    edges have weight 1.
+    """
+    n = n_emitters * n_columns
+    m = np.zeros((n, n), dtype=int)
+    for p in range(n - n_emitters):
+        m[p, p + n_emitters] = m[p + n_emitters, p] = 1
+    for c in rungs:
+        m[2 * c, 2 * c + 1] = m[2 * c + 1, 2 * c] = 1
+    return m
+
+
 def compile_six_ring(d):
     """Two coupled emitters close a six-photon ring with two CZ gates.
 
     Follows the step table literally: the ring-closing CZ lands between the
     second Fourier pair and the final emission round.
     """
-    return _columns(d, 2, 3, (0, 2))
+    n_columns, rungs, _ = _COUPLED["six-ring"]
+    return _columns(d, 2, n_columns, rungs)
 
 
 def compile_ladder(d, step_order="verified"):
@@ -319,7 +342,8 @@ def compile_ladder(d, step_order="verified"):
     if step_order not in ("verified", "literal"):
         raise ValueError(f"unknown step_order {step_order!r}")
     if step_order == "verified":
-        return _columns(d, 2, 3, (0, 1, 2))
+        n_columns, rungs, _ = _COUPLED["ladder"]
+        return _columns(d, 2, n_columns, rungs)
     ins = [fourier(0), fourier(1), cz(0, 1)]
     ins += _emission_round(2, 0, d)
     ins += [fourier(0), fourier(1)]
@@ -342,16 +366,22 @@ def _check_dim(d):
 
 
 def target_graph(protocol, d, n=None):
-    """Canonical target GraphSpec and the vertex -> photon-id order."""
+    """Canonical target GraphSpec and the vertex -> photon-id order.
+
+    A coupled target is read from its ``_COUPLED`` row (columns, rungs,
+    published order): the graph ``_columns`` makes from those columns and
+    rungs, two rails plus one rung per CZ column, with its vertices in the
+    published order.
+    """
     if protocol == "linear":
         if n is None:
             raise ValueError("linear target needs n")
         return gm.make_linear(n, d), tuple(range(n))
-    if protocol == "six-ring":
-        return gm.make_ring(6, d), (4, 2, 0, 1, 3, 5)
-    if protocol == "ladder":
-        return gm.make_ladder(2, 3, d), (0, 2, 4, 1, 3, 5)
-    raise ValueError(f"no graph target for protocol {protocol!r}")
+    if protocol not in _COUPLED:
+        raise ValueError(f"no graph target for protocol {protocol!r}")
+    n_columns, rungs, order = _COUPLED[protocol]
+    m = _column_graph(2, n_columns, rungs)
+    return gm.GraphSpec.from_matrix(d, m[np.ix_(order, order)]), order
 
 
 # -- execution ---------------------------------------------------------------

@@ -90,7 +90,7 @@ class TestChainFusion:
         reg = gm.build_graph_state(gm.make_linear(8, d))
         out = fu.fuse_chain_ends(reg)
         assert out.success
-        ring = gm.make_ring(6, d)
+        ring, _ = pr.target_graph("six-ring", d)
         assert gm.stabilizer_verify(out.register, ring).passed
 
     def test_every_bell_outcome_verifies_at_d2(self):

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qdonor import fusion as fu
 from qdonor import graphs as gm
+from qdonor import protocols as pr
 from qdonor import statevec as sv
 
 
@@ -111,7 +113,7 @@ def dressed_states(draw):
 
 class TestGenerators:
     def test_ring_degrees(self):
-        g = gm.make_ring(6, 4)
+        g, _ = pr.target_graph("six-ring", 4)
         m = g.matrix()
         assert g.n == 6
         assert all((m[v] != 0).sum() == 2 for v in range(6))
@@ -121,13 +123,9 @@ class TestGenerators:
         assert g.edges() == [(0, 1, 1)]
 
     def test_ladder_2x3_shape(self):
-        g = gm.make_ladder(2, 3, 4)
+        g, _ = pr.target_graph("ladder", 4)
         assert g.n == 6
         assert len(g.edges()) == 7  # two rails of two edges plus three rungs
-
-    def test_weight_validation(self):
-        with pytest.raises(ValueError):
-            gm.make_ring(2, 2)
 
     def test_adjacency_validation(self):
         with pytest.raises(ValueError):
@@ -138,7 +136,7 @@ class TestGenerators:
             gm.GraphSpec.from_matrix(2, [[0, 2], [2, 0]])  # weight >= d
 
     def test_json_round_trip(self):
-        g = gm.make_ladder(2, 3, 5)
+        g, _ = pr.target_graph("ladder", 5)
         assert json.loads(json.dumps(g.to_dict())) == {
             "n": 6, "d": 5,
             "adjacency": [0, 1, 0, 1, 0, 0,
@@ -243,7 +241,7 @@ class TestBuildGraphState:
         assert np.allclose(reg.amps.reshape(-1), vec, atol=1e-12)
 
     def test_cz_order_independence(self):
-        g = gm.make_ring(5, 3)
+        g = fu.fused_chain_graph(7, 3)
         reg = sv.init_register((3,) * 5, (0,) * 5)
         for v in range(5):
             reg = sv.apply_fourier(reg, v)
@@ -268,8 +266,8 @@ class TestStabilizerVerify:
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     @pytest.mark.parametrize("maker", [
         lambda d: gm.make_linear(6, d),
-        lambda d: gm.make_ring(6, d),
-        lambda d: gm.make_ladder(2, 3, d),
+        lambda d: pr.target_graph("six-ring", d)[0],
+        lambda d: pr.target_graph("ladder", d)[0],
     ])
     def test_constructed_states_verify(self, d, maker):
         g = maker(d)
@@ -359,7 +357,7 @@ class TestDressedExpectation:
     def test_verify_on_fourier_transposed_register(self, d):
         # a Fourier gate leaves its axis outermost in memory; the gather
         # must keep that layout, or norm() sums in another order
-        g = gm.make_ring(4, d)
+        g = fu.fused_chain_graph(6, d)
         reg = gm.build_graph_state(g)
         reg = sv.apply_pauli_power(reg, 1, "Z", 1)
         reg = sv.apply_fourier(reg, 2)
@@ -378,7 +376,7 @@ class TestDressedExpectation:
     @pytest.mark.parametrize("f", [0, 1])
     def test_order_two_fourier_powers_share_a_key(self, f):
         # F^2 = I at d = 2, so f and f + 2 conjugate S_v to one product
-        m = gm.make_ring(5, 2).matrix()
+        m = fu.fused_chain_graph(7, 2).matrix()
         for v in range(5):
             factors = gm._stabilizer_factors(m, v)
             for w in range(5):
@@ -392,7 +390,7 @@ class TestDressedExpectation:
 
 class TestCorrectionSearch:
     def test_exact_state_needs_identity(self):
-        g = gm.make_ring(4, 3)
+        g = fu.fused_chain_graph(6, 3)
         corr = gm.local_correction_search(gm.build_graph_state(g), g, 1)
         assert corr is not None
         assert not any(corr.x_powers + corr.z_powers + corr.fourier_powers)
@@ -412,7 +410,7 @@ class TestCorrectionSearch:
     @pytest.mark.parametrize("d,seed", [(2, 0), (2, 1), (3, 2), (4, 3)])
     def test_plant_and_recover_random_pauli(self, d, seed):
         rng = np.random.default_rng(seed)
-        g = gm.make_ring(4, d)
+        g = fu.fused_chain_graph(6, d)
         reg = gm.build_graph_state(g)
         plant = gm.CorrectionSet(
             tuple(int(x) for x in rng.integers(0, d, 4)),
@@ -505,7 +503,7 @@ class TestCorrectionSearch:
         assert gm.local_correction_search(reg, g, 2) is None
 
     def test_search_is_deterministic(self):
-        g = gm.make_ring(4, 2)
+        g = fu.fused_chain_graph(6, 2)
         dirty = gm.apply_correction(gm.build_graph_state(g),
                                     gm.CorrectionSet((1, 1, 0, 0),
                                                      (0, 1, 0, 1)))

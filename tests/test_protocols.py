@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import hashlib
 import inspect
+import itertools
 import json
 import math
 import re
@@ -122,6 +123,22 @@ class TestCompilers:
             pr.compile_ladder(9, "bogus")
         with pytest.raises(ValueError, match="need at least one photon"):
             pr.compile_linear(2, 0)
+
+    def test_every_target_is_pinned(self):
+        # one SHA-256 over every target graph and photon order at d = 2..8
+        h = hashlib.sha256()
+        for d in range(2, 9):
+            targets = [pr.target_graph(p, d) for p in ("six-ring", "ladder")]
+            targets += [pr.target_graph("linear", d, n) for n in range(2, 9)]
+            for graph, order in targets:
+                h.update(json.dumps([graph.to_dict(), list(order)]).encode())
+        assert h.hexdigest() == (
+            "08dc5e9ef16a68af821a1dbf7b27dd9713c7ddf3de696107b74d25f15b41e35f")
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_fused_ring_is_the_coupled_ring(self, d):
+        # scheme A's fused eight-chain and scheme B's six-ring are one graph
+        assert fu.fused_chain_graph(8, d) == pr.target_graph("six-ring", d)[0]
 
 
 def one_of_every_tag():
@@ -811,6 +828,25 @@ class TestTwoEmitterProtocols:
         for br in rep.branches:
             assert not br.passed
             assert br.correction is None
+
+    @pytest.mark.parametrize("d,n_columns,rungs", [
+        (d, n_columns, rungs)
+        for d, max_columns in ((2, 3), (3, 2))
+        for n_columns in range(1, max_columns + 1)
+        for rungs in itertools.chain.from_iterable(
+            itertools.combinations(range(n_columns), k)
+            for k in range(n_columns + 1))])
+    def test_every_rung_subset_makes_its_column_graph(self, d, n_columns,
+                                                      rungs):
+        # two rails plus one rung per CZ column, photon p as vertex p; one
+        # column with no rung is two isolated vertices
+        graph = gm.GraphSpec.from_matrix(
+            d, pr._column_graph(2, n_columns, rungs))
+        trace = pr.execute(pr._columns(d, 2, n_columns, rungs),
+                           enumerate_all=True)
+        rep = pr.verify_against_target(trace, graph, range(graph.n))
+        assert len(rep.branches) == d * d
+        assert rep.passed
 
     def test_ladder_d3_against_ladder_target(self):
         trace = pr.execute(pr.compile_ladder(3), enumerate_all=True)

@@ -82,6 +82,10 @@ def command_set():
         cmds.append((f"fusion-{d}", ["fusion", "--d", str(d)]))
         cmds.append((f"fusion-{d}-chain6",
                      ["fusion", "--d", str(d), "--chain-n", "6"]))
+    # a 4-chain's fused pair carries weight 2 mod d, which is 0 at d = 2
+    for d in range(2, 5):
+        cmds.append((f"fusion-{d}-chain4",
+                     ["fusion", "--d", str(d), "--chain-n", "4"]))
     for d in range(2, 9):
         for target in ("ring6", "ladder23"):
             cmds.append((f"compare-{target}-{d}",
