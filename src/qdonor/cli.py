@@ -180,15 +180,15 @@ def cmd_fusion(args):
     seed = _seed(args)
     fu.check_fusable_chain(args.chain_n)
     out = Path(args.output)
+    p = fu.success_probability(args.d)
     table = {str(d): fu.success_probability(d)
              for d in range(2, pr.MAX_SINGLE_PHOTON_D + 1)}
     result = {
         "d": args.d,
-        "success_probability": fu.success_probability(args.d),
+        "success_probability": p,
         "probability_table": table,
         "ancilla_modes": fu.ancilla_modes(args.d),
-        "attempts": fu.sample_attempts(fu.success_probability(args.d),
-                                       args.trials, seed),
+        "attempts": fu.sample_attempts(p, args.trials, seed),
     }
     # d >= 2 here, so a chain longer than 20 is over the cap: test that
     # first rather than form a power of millions of digits
@@ -197,18 +197,18 @@ def cmd_fusion(args):
     if simulate:
         target = fu.fused_chain_graph(args.chain_n, args.d)
         reg = gm.build_graph_state(gm.make_linear(args.chain_n, args.d))
-        outcome = fu.fuse_chain_ends(reg, seed=seed)
+        outcome = fu.fuse_chain_ends(reg, (0, 0))
         verdict = "PASS" if outcome.success else "FAIL"
+        attempts = int(np.random.default_rng(seed).geometric(p))
         result["chain_fusion"] = {
             "chain_n": args.chain_n,
             "target": target.to_dict(),
-            "outcome": outcome.to_dict(),
+            "outcome": {**outcome.to_dict(), "attempts": attempts},
         }
     else:
         result["chain_fusion"] = {"chain_n": args.chain_n, "simulated": False,
                                   "reason": "state exceeds desk-scale cap"}
     _write_json(out / "fusion.json", result)
-    p = result["success_probability"]
     print(f"type-II fusion d={args.d}: p={p:.4f}, chain fusion {verdict} "
           f"-> {out / 'fusion.json'}")
     return EXIT_VERIFICATION if verdict == "FAIL" else EXIT_OK

@@ -132,7 +132,6 @@ class FusionOutcome:
     register: sv.Register | None       # corrected post-fusion state
     correction: gm.CorrectionSet | None
     max_deviation: float
-    attempts: int | None = None        # stochastic mode only
 
     def to_dict(self):
         return {
@@ -142,7 +141,7 @@ class FusionOutcome:
             "correction": None if self.correction is None
             else self.correction.to_dict(),
             "max_deviation": self.max_deviation,
-            "attempts": self.attempts,
+            "attempts": None,           # sampled by the file's writer
         }
 
 
@@ -172,32 +171,26 @@ def _require_chain(reg):
     return n, d
 
 
-def fuse_chain_ends(reg, outcome=(0, 0), seed=None):
-    """Fuse the end photons of a verified linear chain.
+def fuse_chain_ends(reg, outcome):
+    """Fuse the end photons of a verified linear chain on Bell ``outcome``.
 
     The register must hold a canonical n-chain graph state, up to a global
     phase; this is checked once per call, to half the stabilizer tolerance
     (see ``_require_chain``), and byproduct-carrying states should be
-    corrected first.  The chosen Bell outcome is projected out of the first
+    corrected first.  The Bell label (a, b) is projected out of the first
     and last qudits, both are removed, and the result is verified against
-    the contracted chain graph by a depth-2 local-correction search.  With
-    a seed, the attempt count of the non-deterministic physical gate is
-    sampled from the geometric law as bookkeeping.
+    the contracted chain graph by a depth-2 local-correction search.
     """
     n, d = _require_chain(reg)
     prob, collapsed = project_pair(reg, 0, n - 1, outcome[0], outcome[1])
     target = fused_chain_graph(n, d)
-    attempts = None
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-        attempts = int(rng.geometric(success_probability(d)))
     corr = gm.local_correction_search(collapsed, target, search_depth=2)
     if corr is None:
         return FusionOutcome(False, tuple(outcome), prob, None, None,
-                             float("inf"), attempts)
+                             float("inf"))
     return FusionOutcome(True, tuple(outcome), prob,
                          gm.apply_correction(collapsed, corr), corr,
-                         corr.report.max_deviation, attempts)
+                         corr.report.max_deviation)
 
 
 # -- scheme comparison -------------------------------------------------------
@@ -209,7 +202,7 @@ _TARGETS = {
 }
 
 
-def compare_schemes(d, target="ring6"):
+def compare_schemes(d, target):
     """Fusion-built versus directly-coupled resource-state costs.
 
     Scheme A grows one linear chain per pass and fuses; a failed fusion

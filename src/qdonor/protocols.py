@@ -321,8 +321,8 @@ def _column_graph(n_emitters, n_columns, rungs):
 def compile_six_ring(d):
     """Two coupled emitters close a six-photon ring with two CZ gates.
 
-    Follows the step table literally: the ring-closing CZ lands between the
-    second Fourier pair and the final emission round.
+    Rung columns 0 and 2: one CZ follows the first Fourier pair, and the
+    ring-closing CZ follows the third, before the final emission round.
     """
     n_columns, rungs, _ = _COUPLED["six-ring"]
     return _columns(d, 2, n_columns, rungs)

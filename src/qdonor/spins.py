@@ -174,10 +174,11 @@ def build_single_donor_hamiltonian(p: SpinParams):
     dim_n = p.nuclear_dim
     eye_e = np.eye(2)
     eye_n = np.eye(dim_n)
-    h = p.B0 * (-p.gamma_n * np.kron(eye_e, iz)
-                + p.gamma_e_mhz * np.kron(sz, eye_n))
-    h = h + p.A * (np.kron(sx, ix) + np.kron(sy, iy) + np.kron(sz, iz))
-    h = h + np.kron(eye_e, _quadrupole(p.f_q_mhz, iz))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        h = p.B0 * (-p.gamma_n * np.kron(eye_e, iz)
+                    + p.gamma_e_mhz * np.kron(sz, eye_n))
+        h = h + p.A * (np.kron(sx, ix) + np.kron(sy, iy) + np.kron(sz, iz))
+        h = h + np.kron(eye_e, _quadrupole(p.f_q_mhz, iz))
     _check_hermitian(h)
     return h
 
@@ -199,19 +200,22 @@ def build_double_donor_hamiltonian(dp: DoubleSpinParams):
     def on_w(op):
         return np.kron(np.kron(eye_e, eye_n), op)
 
-    h = -p.gamma_n * p.B0 * (on_s(iz) + on_w(iz))
-    h = h + p.gamma_e_mhz * p.B0 * on_e(sz)
-    for se, sn in ((sx, ix), (sy, iy), (sz, iz)):
-        coupl = np.kron(np.kron(se, sn), eye_n) * dp.A_s
-        coupl = coupl + np.kron(np.kron(se, eye_n), sn) * dp.A_w_mhz
-        h = h + coupl
-    h = h + on_s(_quadrupole(dp.f_q_s * 1e-3, iz))
-    h = h + on_w(_quadrupole(dp.f_q_w * 1e-3, iz))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        h = -p.gamma_n * p.B0 * (on_s(iz) + on_w(iz))
+        h = h + p.gamma_e_mhz * p.B0 * on_e(sz)
+        for se, sn in ((sx, ix), (sy, iy), (sz, iz)):
+            coupl = np.kron(np.kron(se, sn), eye_n) * dp.A_s
+            coupl = coupl + np.kron(np.kron(se, eye_n), sn) * dp.A_w_mhz
+            h = h + coupl
+        h = h + on_s(_quadrupole(dp.f_q_s * 1e-3, iz))
+        h = h + on_w(_quadrupole(dp.f_q_w * 1e-3, iz))
     _check_hermitian(h)
     return h
 
 
 def _check_hermitian(h):
+    if not np.isfinite(h).all():
+        raise ValueError("Hamiltonian overflows: an entry is not finite")
     scale = np.abs(h).max() or 1.0
     dev = np.abs(h - h.conj().T).max()
     if dev > HERMITIAN_RTOL * scale:
@@ -446,7 +450,7 @@ def edsr_comparison(p: SpinParams):
 _SWEPT = ("B0", "A", "f_q", "A_w", "A_s", "f_q_w", "f_q_s")
 
 
-def sensitivity_sweep(params, perturbations, kind="esr"):
+def sensitivity_sweep(params, perturbations, kind):
     """Re-diagonalize under parameter shifts and report transition moves.
 
     ``perturbations`` is a list of (name, delta, mode) with mode "absolute"
@@ -489,7 +493,7 @@ def sensitivity_sweep(params, perturbations, kind="esr"):
     return {"kind": kind, "baseline": baseline, "perturbed": rows}
 
 
-def default_perturbations(double=False):
+def default_perturbations(double):
     """Quoted device-to-device variation scales: field, hyperfine, quadrupole."""
     if double:
         return [("B0", 1e-3, "absolute"), ("A_s", 5.0, "absolute"),

@@ -2,6 +2,7 @@
 
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import math
@@ -13,6 +14,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,6 +29,18 @@ from qdonor import spins as sp
 
 def run(*argv):
     return cli.main(list(argv))
+
+
+def run_fresh(*argv, timeout):
+    """Run the CLI in a fresh interpreter, where stderr shows what pytest
+    would capture in process; returns the completed process."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ,
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    return subprocess.run([sys.executable, "-m", "qdonor.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          env=env)
 
 
 def read_json(path):
@@ -81,6 +95,10 @@ class TestSpectrumCommand:
         ("double", '{"A_w": -1.0}'), ("double", '{"f_q_w": -1.0}'),
         ("double", '{"base": {"A": 50.0}}'),
         ("double", '{"base": {"f_q": 900.0}}'),
+        # finite values whose Hamiltonian overflows: once a nan spectrum
+        # with exit 0, an ambiguity with exit 3 and numpy's eigh error
+        ("single", '{"B0": 1e308}'), ("double", '{"base": {"B0": 1e308}}'),
+        ("single", '{"gamma_e": 1e306}'),
     ])
     def test_malformed_params_exit_2(self, tmp_path, capsys, device, text):
         f = tmp_path / "params.json"
@@ -100,6 +118,17 @@ class TestSpectrumCommand:
         f.write_text(json.dumps(params))
         assert run("spectrum", "--params", str(f), "--device", "single",
                    "--output", str(tmp_path)) == 0
+
+    def test_overflowing_hamiltonian_prints_no_warning(self, tmp_path):
+        # pytest captures numpy's warnings in process
+        f = tmp_path / "params.json"
+        f.write_text('{"B0": 1e308}')
+        proc = run_fresh("spectrum", "--params", str(f),
+                         "--output", str(tmp_path / "o"), timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: Hamiltonian overflows")
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestProtocolCommand:
@@ -172,19 +201,35 @@ class TestFusionCommand:
     def test_long_chain_is_reported_unsimulated_without_its_power(
             self, tmp_path):
         # 3**30000000 has over 14 million digits; forming it takes seconds
-        src = str(Path(cli.__file__).resolve().parents[1])
-        path = os.environ.get("PYTHONPATH")
-        env = {**os.environ,
-               "PYTHONPATH": src if not path else src + os.pathsep + path}
-        proc = subprocess.run(
-            [sys.executable, "-m", "qdonor.cli", "fusion", "--d", "3",
-             "--chain-n", "30000000", "--trials", "10",
-             "--output", str(tmp_path)],
-            capture_output=True, text=True, timeout=5, env=env)
+        proc = run_fresh("fusion", "--d", "3", "--chain-n", "30000000",
+                         "--trials", "10", "--output", str(tmp_path),
+                         timeout=5)
         assert proc.returncode == 0, proc.stderr
         assert "chain fusion not simulated" in proc.stdout
         chain = read_json(tmp_path / "fusion.json")["chain_fusion"]
         assert chain["simulated"] is False
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_attempt_count_is_the_seeds_first_draw(self, tmp_path, d):
+        # the sampled attempt count is the first geometric draw of --seed,
+        # the generator whose statistics the "attempts" record summarises
+        for seed in (0, 7, cli.DEFAULT_SEED):
+            out = tmp_path / str(seed)
+            assert run("fusion", "--d", str(d), "--chain-n", "4",
+                       "--trials", "10", "--seed", str(seed),
+                       "--output", str(out)) == 0
+            rep = read_json(out / "fusion.json")
+            draw = np.random.default_rng(seed).geometric(
+                fu.success_probability(d))
+            assert rep["chain_fusion"]["outcome"]["attempts"] == int(draw)
+
+    def test_fusion_is_a_function_of_chain_and_outcome(self):
+        params = inspect.signature(fu.fuse_chain_ends).parameters
+        assert list(params) == ["reg", "outcome"]
+        assert all(p.default is inspect.Parameter.empty
+                   for p in params.values())
+        chain = gm.build_graph_state(gm.make_linear(4, 2))
+        assert fu.fuse_chain_ends(chain, (0, 0)).to_dict()["attempts"] is None
 
 
 class TestCompareCommand:

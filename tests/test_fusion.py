@@ -88,7 +88,7 @@ class TestChainFusion:
     @pytest.mark.parametrize("d", [2, 3])
     def test_eight_chain_becomes_six_ring(self, d):
         reg = gm.build_graph_state(gm.make_linear(8, d))
-        out = fu.fuse_chain_ends(reg)
+        out = fu.fuse_chain_ends(reg, (0, 0))
         assert out.success
         ring, _ = pr.target_graph("six-ring", d)
         assert gm.stabilizer_verify(out.register, ring).passed
@@ -104,7 +104,7 @@ class TestChainFusion:
 
     def test_success_branch_stays_normalized(self):
         reg = gm.build_graph_state(gm.make_linear(8, 3))
-        out = fu.fuse_chain_ends(reg)
+        out = fu.fuse_chain_ends(reg, (0, 0))
         assert np.linalg.norm(out.register.amps) == pytest.approx(
             1.0, abs=1e-10)
 
@@ -124,7 +124,7 @@ class TestChainFusion:
 
     def test_four_chain_through_api(self):
         reg = gm.build_graph_state(gm.make_linear(4, 2))
-        out = fu.fuse_chain_ends(reg)
+        out = fu.fuse_chain_ends(reg, (0, 0))
         assert out.success
         assert fu.fused_chain_graph(4, 2).edges() == []
 
@@ -132,13 +132,7 @@ class TestChainFusion:
         import qdonor.statevec as sv
         not_chain = sv.init_register((2,) * 8, (0,) * 8)
         with pytest.raises(ValueError, match="does not verify"):
-            fu.fuse_chain_ends(not_chain)
-
-    def test_attempt_bookkeeping_is_seeded(self):
-        reg = gm.build_graph_state(gm.make_linear(8, 2))
-        a = fu.fuse_chain_ends(reg, seed=5)
-        b = fu.fuse_chain_ends(reg, seed=5)
-        assert a.attempts == b.attempts is not None
+            fu.fuse_chain_ends(not_chain, (0, 0))
 
 
 def chain_state(n, d):
@@ -184,7 +178,7 @@ class TestChainCheck:
         reg = sv.apply_pauli_power(chain_state(n, d), v, "Z", b)
         reg = sv.apply_pauli_power(reg, v, "X", a)
         with pytest.raises(ValueError, match="does not verify"):
-            fu.fuse_chain_ends(reg)
+            fu.fuse_chain_ends(reg, (0, 0))
 
     @settings(max_examples=25, deadline=None)
     @given(chain_sizes, st.data())
@@ -201,7 +195,7 @@ class TestChainCheck:
             m[0, n - 1] = m[n - 1, 0] = 1
         reg = gm.build_graph_state(gm.GraphSpec.from_matrix(d, m))
         with pytest.raises(ValueError, match="does not verify"):
-            fu.fuse_chain_ends(reg)
+            fu.fuse_chain_ends(reg, (0, 0))
 
     @settings(max_examples=40, deadline=None)
     @given(chain_sizes, st.floats(-13, -8), st.integers(0, 2**32 - 1))
@@ -230,7 +224,7 @@ class TestChainCheck:
     def test_mixed_radices_are_rejected(self, radices):
         reg = sv.init_register(radices, (0,) * len(radices))
         with pytest.raises(ValueError, match="one dimension"):
-            fu.fuse_chain_ends(reg)
+            fu.fuse_chain_ends(reg, (0, 0))
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_short_chain_is_rejected(self, n):
@@ -238,7 +232,7 @@ class TestChainCheck:
         reg = chain_state(n, 3) if n > 1 else sv.apply_fourier(
             sv.init_register((3,), (0,)), 0)
         with pytest.raises(ValueError, match="at least 4"):
-            fu.fuse_chain_ends(reg)
+            fu.fuse_chain_ends(reg, (0, 0))
 
 
 class TestBellStates:

@@ -294,12 +294,12 @@ class TestSensitivity:
 
     def test_unknown_parameter_rejected(self, single):
         with pytest.raises(ValueError):
-            sp.sensitivity_sweep(single, [("A_s", 1.0, "absolute")])
+            sp.sensitivity_sweep(single, [("A_s", 1.0, "absolute")], "esr")
 
     @pytest.mark.parametrize("mode", ["relativ", "Absolute", "", None])
     def test_unknown_mode_rejected(self, single, mode):
         with pytest.raises(ValueError, match=f"mode {mode!r}"):
-            sp.sensitivity_sweep(single, [("B0", 1e-3, mode)])
+            sp.sensitivity_sweep(single, [("B0", 1e-3, mode)], "esr")
 
     def test_double_donor_sweep(self, double):
         out = sp.sensitivity_sweep(
@@ -307,5 +307,5 @@ class TestSensitivity:
         assert out["perturbed"][0]["max_abs_shift_mhz"] > 1.0
 
     def test_default_perturbations_shape(self):
-        assert all(len(p) == 3 for p in sp.default_perturbations())
+        assert all(len(p) == 3 for p in sp.default_perturbations(False))
         assert all(len(p) == 3 for p in sp.default_perturbations(double=True))

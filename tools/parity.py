@@ -86,6 +86,15 @@ def command_set():
     for d in range(2, 5):
         cmds.append((f"fusion-{d}-chain4",
                      ["fusion", "--d", str(d), "--chain-n", "4"]))
+    # seeded attempt draws, an odd chain, and a chain over the cap
+    cmds += [
+        ("fusion-3-seed", ["fusion", "--d", "3", "--seed", "7"]),
+        ("fusion-5-seed-trials", ["fusion", "--d", "5", "--seed", "0",
+                                  "--trials", "10"]),
+        ("fusion-4-chain5-seed", ["fusion", "--d", "4", "--chain-n", "5",
+                                  "--seed", "3"]),
+        ("fusion-2-chain21", ["fusion", "--d", "2", "--chain-n", "21"]),
+    ]
     for d in range(2, 9):
         for target in ("ring6", "ladder23"):
             cmds.append((f"compare-{target}-{d}",
