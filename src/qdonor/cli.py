@@ -94,7 +94,7 @@ def cmd_spectrum(args):
 
 def _compile(args):
     if args.protocol == "single-photon":
-        return pr.compile_single_photon(args.d)
+        return pr.compile_linear(args.d, 1)
     if args.protocol == "linear":
         return pr.compile_linear(args.d, args.n)
     if args.protocol == "six-ring":
@@ -129,6 +129,22 @@ def _seed(args):
     return args.seed
 
 
+def _single_photon_report(d, trace, rep):
+    """Each branch's correction Z power and its corrected fidelity with |+>."""
+    uniform = np.full(d, 1 / np.sqrt(d), dtype=complex)
+    rows = []
+    for br, res in zip(trace.branches, rep.branches):
+        row = {"outcomes": list(br.outcomes), "z_correction": None,
+               "fidelity": None}
+        if res.correction is not None:
+            photon = gm.apply_correction(br.photons, res.correction)
+            row["z_correction"] = res.correction.z_powers[0]
+            row["fidelity"] = abs(complex(np.vdot(photon.amps, uniform))) ** 2
+        rows.append(row)
+    return {"protocol": "single-photon", "passed": rep.passed,
+            "target": "uniform single-photon superposition", "branches": rows}
+
+
 def cmd_protocol(args):
     if args.cap is not None and args.cap < 1:
         raise ValueError(f"amplitude cap must be at least 1, got {args.cap}")
@@ -137,7 +153,7 @@ def cmd_protocol(args):
     program = _compile(args)
     # resolved before any work, so that a target that cannot be built
     # (a one-photon chain) exits 2 without a trace.json
-    if args.mode == "verify" and args.protocol != "single-photon":
+    if args.mode == "verify":
         graph, order = pr.target_graph(args.protocol, args.d, args.n)
     enumerated = args.enumerate or args.mode == "verify"
     trace = pr.execute(program, seed=seed, enumerate_all=enumerated,
@@ -149,20 +165,12 @@ def cmd_protocol(args):
               f"{out / 'trace.json'}")
         return EXIT_OK
 
+    rep = pr.verify_against_target(trace, graph, order)
+    ok = rep.passed
     if args.protocol == "single-photon":
-        rows, ok = pr.verify_w_state(trace)
-        report = {
-            "protocol": args.protocol,
-            "target": "uniform single-photon superposition",
-            "passed": bool(ok),
-            "branches": [{"outcomes": list(o), "z_correction": z,
-                          "fidelity": f} for o, z, f in rows],
-        }
+        report = _single_photon_report(args.d, trace, rep)
     else:
-        rep = pr.verify_against_target(trace, graph, order)
-        report = {"protocol": args.protocol}
-        report.update(rep.to_dict())
-        ok = rep.passed
+        report = {"protocol": args.protocol, **rep.to_dict()}
         if args.protocol == "ladder" and args.step_order == "literal" and not ok:
             report["notes"].append(
                 "literal published step order fails ladder verification; "

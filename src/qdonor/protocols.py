@@ -23,8 +23,6 @@ from . import statevec as sv
 from . import graphs as gm
 
 MAX_SINGLE_PHOTON_D = 8
-# a W-state branch passes once its best fidelity is this close to 1
-W_FIDELITY_ATOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -285,12 +283,6 @@ def _columns(d, n_emitters, n_columns, rungs):
     return Program(d, n_emitters, n_emitters * n_columns, tuple(ins))
 
 
-def compile_single_photon(d):
-    """One photon spread coherently over d time-bins, then donor readout:
-    the one-photon linear program."""
-    return compile_linear(d, 1)
-
-
 def compile_linear(d, n):
     """n-photon linear graph state from one emitter: n columns, no CZ."""
     return _columns(d, 1, n, ())
@@ -368,11 +360,13 @@ def _check_dim(d):
 def target_graph(protocol, d, n=None):
     """Canonical target GraphSpec and the vertex -> photon-id order.
 
-    A coupled target is read from its ``_COUPLED`` row (columns, rungs,
-    published order): the graph ``_columns`` makes from those columns and
-    rungs, two rails plus one rung per CZ column, with its vertices in the
-    published order.
+    The single photon is the one-vertex graph state.  A coupled target is
+    read from its ``_COUPLED`` row (columns, rungs, published order): the
+    graph ``_columns`` makes from those columns and rungs, two rails plus
+    one rung per CZ column, with its vertices in the published order.
     """
+    if protocol == "single-photon":
+        return gm.GraphSpec.from_matrix(d, [[0]]), (0,)
     if protocol == "linear":
         if n is None:
             raise ValueError("linear target needs n")
@@ -421,7 +415,7 @@ def _checksum(reg):
     return h.hexdigest()
 
 
-def execute(program, seed=0, enumerate_all=False, cap=sv.DEFAULT_AMPLITUDE_CAP):
+def execute(program, seed=0, *, enumerate_all, cap=sv.DEFAULT_AMPLITUDE_CAP):
     """Run a program; donor readout either samples (seeded) or enumerates.
 
     Measurement instructions must come last (the Program invariant), so the
@@ -592,29 +586,3 @@ def verify_against_target(trace, graph, photon_order):
             float("inf") if corr is None else corr.report.max_deviation,
             corr is not None))
     return VerificationReport(graph, order, tuple(results))
-
-
-def verify_w_state(trace):
-    """Check every donor outcome collapses to the uniform single-photon state.
-
-    The byproduct is undone by an exhaustive search over Z powers per photon
-    (the protocol leaves only a diagonal correction).  Returns a list of
-    (outcomes, z_power, fidelity) and an overall flag.
-    """
-    if trace.branches is None:
-        raise ValueError("needs an outcome-enumerated trace")
-    d = trace.program.d
-    target = np.full(d, 1 / np.sqrt(d), dtype=complex)
-    rows = []
-    ok = True
-    for br in trace.branches:
-        if br.photons.n_subsystems != 1:
-            raise ValueError("W-state check expects a single photon")
-        best = max(
-            ((a, abs(complex(np.vdot(
-                sv.apply_pauli_power(br.photons, 0, "Z", a).amps,
-                target))) ** 2) for a in range(d)),
-            key=lambda t: t[1])
-        rows.append((br.outcomes, best[0], best[1]))
-        ok = ok and best[1] >= 1 - W_FIDELITY_ATOL
-    return rows, ok

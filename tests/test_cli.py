@@ -176,6 +176,19 @@ class TestProtocolCommand:
         assert any("literal" in note for note in rep["notes"])
 
 
+    def test_branch_without_correction_writes_null_rows(self, tmp_path,
+                                                        monkeypatch):
+        monkeypatch.setattr(gm, "local_correction_search",
+                            lambda *args, **kwargs: None)
+        assert run("protocol", "verify", "--protocol", "single-photon",
+                   "--d", "3", "--output", str(tmp_path)) == 4
+        rep = read_json(tmp_path / "verification.json")
+        assert rep["passed"] is False
+        assert rep["branches"] == [
+            {"outcomes": [k], "z_correction": None, "fidelity": None}
+            for k in range(3)]
+
+
 class TestFusionCommand:
     def test_d3_probability(self, tmp_path):
         assert run("fusion", "--d", "3", "--trials", "1000",
@@ -663,6 +676,18 @@ class TestDeterminism:
         assert h.hexdigest() == (
             "aea895e154a865c341ca0f0e44f80ea0c2d5eb473d80defd987307a82ffb754e")
 
+    def test_single_photon_verification_is_pinned(self, tmp_path):
+        # one SHA-256 over verification.json of the single photon at
+        # d = 2..8: its own schema, Z powers and fidelity bits
+        h = hashlib.sha256()
+        for d in range(2, pr.MAX_SINGLE_PHOTON_D + 1):
+            out = tmp_path / str(d)
+            assert run("protocol", "verify", "--protocol", "single-photon",
+                       "--d", str(d), "--output", str(out)) == 0
+            h.update((out / "verification.json").read_bytes())
+        assert h.hexdigest() == (
+            "515e2b77c93f397dcea01a6806435f37f05239cd9cc6244ecadb2e8a8ca44a34")
+
     def test_eight_chain_fusion_is_pinned(self, tmp_path):
         # one SHA-256 over fusion.json of the default eight-chain at d=4
         # and d=5, the largest graph states the CLI builds
@@ -789,7 +814,7 @@ def test_only_the_cli_prints(capsys):
     # CLI, whose summary line a caller may take as the last line printed.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        pr.execute(pr.compile_six_ring(2), seed=3)
+        pr.execute(pr.compile_six_ring(2), seed=3, enumerate_all=False)
         trace = pr.execute(pr.compile_six_ring(2), enumerate_all=True)
         graph, order = pr.target_graph("six-ring", 2)
         assert pr.verify_against_target(trace, graph, order).passed

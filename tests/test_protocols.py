@@ -43,17 +43,13 @@ def expansion_register(table, n_photons):
 class TestCompilers:
     @pytest.mark.parametrize("d", [2, 3, 5, 8])
     def test_single_photon_instruction_count(self, d):
-        prog = pr.compile_single_photon(d)
+        prog = pr.compile_linear(d, 1)
         # fourier + d emission pairs + (d-1) permutes + fourier + measure
         assert len(prog.instructions) == 3 * d + 2
 
-    @pytest.mark.parametrize("d", range(2, 9))
-    def test_single_photon_is_the_one_photon_line(self, d):
-        assert pr.compile_single_photon(d) == pr.compile_linear(d, 1)
-
     def test_dimension_above_range_is_a_capacity_error(self):
         with pytest.raises(sv.CapacityError):
-            pr.compile_single_photon(9)
+            pr.compile_linear(9, 1)
 
     @pytest.mark.parametrize("d", [1, 0, -2])
     def test_dimension_below_two_is_malformed(self, d):
@@ -109,7 +105,7 @@ class TestCompilers:
         # the ones too large to execute included
         h = hashlib.sha256()
         for d in range(2, 9):
-            progs = [pr.compile_single_photon(d), pr.compile_six_ring(d),
+            progs = [pr.compile_linear(d, 1), pr.compile_six_ring(d),
                      pr.compile_ladder(d), pr.compile_ladder(d, "literal")]
             progs += [pr.compile_linear(d, n) for n in range(1, 9)]
             for p in progs:
@@ -382,13 +378,13 @@ def enumerated_run(name, d):
 class TestExecution:
     def test_empty_program_keeps_initial_state(self):
         prog = pr.Program(3, 1, 0, ())
-        trace = pr.execute(prog)
+        trace = pr.execute(prog, enumerate_all=False)
         assert trace.final_register.amps[0, 0] == 1.0
 
     def test_same_seed_same_trace(self):
         prog = pr.compile_linear(2, 2)
-        t1 = pr.execute(prog, seed=123)
-        t2 = pr.execute(prog, seed=123)
+        t1 = pr.execute(prog, seed=123, enumerate_all=False)
+        t2 = pr.execute(prog, seed=123, enumerate_all=False)
         assert t1.checksums == t2.checksums
         assert t1.records == t2.records
 
@@ -402,7 +398,7 @@ class TestExecution:
             return real(reg, subsystem)
 
         monkeypatch.setattr(sv, "outcome_probabilities", counted)
-        pr.execute(pr.compile_six_ring(2), seed=5)
+        pr.execute(pr.compile_six_ring(2), seed=5, enumerate_all=False)
         # two donor measurements; a sampled run extracts no photons
         assert calls == [0, 0]
 
@@ -411,7 +407,8 @@ class TestExecution:
         # the second, after the first is finalised, 32 x 5 = 160
         with pytest.raises(sv.CapacityError,
                            match="needs 160 amplitudes, cap is 128"):
-            pr.execute(pr.compile_linear(4, 4), cap=128)
+            pr.execute(pr.compile_linear(4, 4), enumerate_all=False,
+                       cap=128)
 
     def test_cap_is_checked_before_the_first_gate(self, monkeypatch):
         # a 2 x 2 emitter with 22 photons finalised holds 2^24 amplitudes,
@@ -421,7 +418,7 @@ class TestExecution:
                             lambda *args: calls.append(args))
         with pytest.raises(sv.CapacityError,
                            match="needs 50331648 amplitudes, cap is 33554432"):
-            pr.execute(pr.compile_linear(2, 30))
+            pr.execute(pr.compile_linear(2, 30), enumerate_all=False)
         assert calls == []
 
     @settings(max_examples=60, deadline=None)
@@ -434,7 +431,7 @@ class TestExecution:
         those levels, and the enumerated branch it lands on has exactly
         the product of its probabilities."""
         full = enumerated_run(name, d)
-        sampled = pr.execute(full.program, seed=seed)
+        sampled = pr.execute(full.program, seed=seed, enumerate_all=False)
         assert sampled.checksums == full.checksums
         assert sampled.branches is None
         state, measured = full.final_register, []
@@ -453,12 +450,12 @@ class TestExecution:
             p for _, _, p in sampled.records)
 
     def test_checksums_cover_every_instruction(self):
-        prog = pr.compile_single_photon(3)
+        prog = pr.compile_linear(3, 1)
         trace = pr.execute(prog, enumerate_all=True)
         assert len(trace.checksums) == len(prog.instructions)
 
     def test_enumeration_is_exhaustive(self):
-        trace = pr.execute(pr.compile_single_photon(3), enumerate_all=True)
+        trace = pr.execute(pr.compile_linear(3, 1), enumerate_all=True)
         probs = [b.probability for b in trace.branches]
         assert sum(probs) == pytest.approx(1.0, abs=1e-10)
         assert len(trace.branches) == 3
@@ -611,15 +608,15 @@ class TestInPlaceExecution:
         # literal holds the digests of the functional executor
         joined = "".join(
             digest for d in (2, 3, 4)
-            for prog in (pr.compile_single_photon(d), pr.compile_linear(d, 3),
+            for prog in (pr.compile_linear(d, 1), pr.compile_linear(d, 3),
                          pr.compile_six_ring(d), pr.compile_ladder(d),
                          pr.compile_ladder(d, "literal"))
-            for digest in pr.execute(prog).checksums)
+            for digest in pr.execute(prog, enumerate_all=False).checksums)
         assert hashlib.sha256(joined.encode()).hexdigest() == (
             "dc55449b249ad8a0160bec6ebf158c78c77d54d17c51dfb962a5087fe7f165b7")
 
     @pytest.mark.parametrize("prog", [
-        pr.compile_single_photon(3), pr.compile_linear(2, 3),
+        pr.compile_linear(3, 1), pr.compile_linear(2, 3),
         pr.compile_six_ring(3), pr.compile_ladder(2),
         pr.compile_ladder(3, "literal"), one_of_every_tag(),
     ], ids=["single-photon", "linear", "six-ring", "ladder", "literal",
@@ -643,7 +640,7 @@ class TestInPlaceExecution:
 
         monkeypatch.setattr(sv, "apply_cz_power", drifting)
         with pytest.raises(ValueError, match="norm drifted"):
-            pr.execute(pr.compile_six_ring(2))
+            pr.execute(pr.compile_six_ring(2), enumerate_all=False)
 
     @settings(max_examples=100, deadline=None)
     @given(valid_programs())
@@ -688,18 +685,44 @@ class TestInPlaceExecution:
                           initial=0) <= 1e-12
 
 
+def uniform_rows(trace):
+    """(outcomes, Z power, fidelity with the uniform state) per branch of a
+    single-photon trace, and the overall verdict: the branch's correction
+    from the one-vertex verification, and the fidelity verification.json
+    records for the photon it corrects."""
+    d = trace.program.d
+    graph, order = pr.target_graph("single-photon", d)
+    rep = pr.verify_against_target(trace, graph, order)
+    uniform = np.full(d, 1 / np.sqrt(d), dtype=complex)
+    rows = []
+    for br, res in zip(trace.branches, rep.branches):
+        photon = gm.apply_correction(br.photons, res.correction)
+        rows.append((br.outcomes, res.correction.z_powers[0],
+                     abs(complex(np.vdot(photon.amps, uniform))) ** 2))
+    return rows, rep.passed
+
+
+def one_photon_trace(amps):
+    """A one-branch enumerated trace whose photon holds ``amps``."""
+    d = len(amps)
+    program = pr.compile_linear(d, 1)
+    reg = sv.Register(np.asarray(amps, dtype=complex))
+    return pr.ExecutionTrace(program, (), reg, branches=(
+        pr.OutcomeBranch((0,), 1.0, reg),))
+
+
 class TestSinglePhoton:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_every_outcome_collapses_to_uniform(self, d):
-        trace = pr.execute(pr.compile_single_photon(d), enumerate_all=True)
-        rows, ok = pr.verify_w_state(trace)
+        trace = pr.execute(pr.compile_linear(d, 1), enumerate_all=True)
+        rows, ok = uniform_rows(trace)
         assert ok
         assert all(f >= 1 - 1e-10 for _, _, f in rows)
 
     def test_two_bin_case_from_same_engine(self):
         # hand-simulated d=2 oracle: outcome 0 leaves the photon uniform
         # over the two bins with no correction
-        trace = pr.execute(pr.compile_single_photon(2), enumerate_all=True)
+        trace = pr.execute(pr.compile_linear(2, 1), enumerate_all=True)
         first = trace.branches[0]
         assert first.outcomes == (0,)
         assert np.allclose(np.abs(first.photons.amps), 1 / np.sqrt(2))
@@ -709,11 +732,53 @@ class TestSinglePhoton:
         # at d = 2..8, so the fidelity's bits are pinned, not only its bound
         h = hashlib.sha256()
         for d in range(2, pr.MAX_SINGLE_PHOTON_D + 1):
-            trace = pr.execute(pr.compile_single_photon(d),
+            trace = pr.execute(pr.compile_linear(d, 1),
                                enumerate_all=True)
-            h.update(repr(pr.verify_w_state(trace)).encode())
+            h.update(repr(uniform_rows(trace)).encode())
         assert h.hexdigest() == (
             "6f3fae241f557e5f2faaa149f1feb679cac6268ac0108d0c4b2636a1fd6dccd7")
+
+    @pytest.mark.parametrize("d", range(2, pr.MAX_SINGLE_PHOTON_D + 1))
+    def test_target_is_the_one_vertex_graph(self, d):
+        graph, order = pr.target_graph("single-photon", d)
+        assert graph == gm.GraphSpec.from_matrix(d, [[0]])
+        assert order == (0,)
+        # the chain stays strict: one photon is no linear graph
+        with pytest.raises(ValueError, match="n >= 2"):
+            pr.target_graph("linear", d, 1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, pr.MAX_SINGLE_PHOTON_D), st.data())
+    def test_search_undoes_every_z_byproduct(self, d, data):
+        """For Z^a|+>, the one-vertex search returns a correction whose
+        corrected state is the uniform superposition."""
+        a = data.draw(st.integers(0, d - 1))
+        uniform = np.full(d, 1 / np.sqrt(d), dtype=complex)
+        reg = sv.apply_pauli_power(sv.Register(uniform), 0, "Z", a)
+        graph, _ = pr.target_graph("single-photon", d)
+        corr = gm.local_correction_search(reg, graph, search_depth=2)
+        assert corr is not None
+        assert corr.report.max_deviation <= gm.STABILIZER_ATOL
+        fixed = gm.apply_correction(reg, corr)
+        assert np.max(np.abs(fixed.amps - uniform)) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, pr.MAX_SINGLE_PHOTON_D), st.data(),
+           st.floats(0.1, 10.0))
+    def test_unequal_magnitudes_fail_the_branch(self, d, data, tilt):
+        """A photon spread over every bin with unequal magnitudes is no
+        dressed one-vertex graph state: its branch fails, with no
+        correction and an infinite deviation."""
+        a = data.draw(st.integers(0, d - 1))
+        amps = np.exp(2j * np.pi * a * np.arange(d) / d)
+        amps[data.draw(st.integers(0, d - 1))] *= 1 + tilt
+        trace = one_photon_trace(amps / np.linalg.norm(amps))
+        graph, order = pr.target_graph("single-photon", d)
+        rep = pr.verify_against_target(trace, graph, order)
+        br, = rep.branches
+        assert not rep.passed and not br.passed
+        assert br.correction is None
+        assert br.max_deviation == math.inf
 
 
 class TestLinearProtocol:
@@ -869,7 +934,8 @@ class TestVerificationReports:
         assert len(obj["branches"]) == 2
 
     def test_needs_enumerated_trace(self):
-        trace = pr.execute(pr.compile_linear(2, 2), seed=1)
+        trace = pr.execute(pr.compile_linear(2, 2), seed=1,
+                           enumerate_all=False)
         graph, order = pr.target_graph("linear", 2, 2)
         with pytest.raises(ValueError, match="enumerated"):
             pr.verify_against_target(trace, graph, order)

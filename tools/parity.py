@@ -67,9 +67,11 @@ def command_set():
         cmds.append((f"verify-linear-{d}-3",
                      ["protocol", "verify", "--protocol", "linear", "--d",
                       str(d), "--n", "3"]))
+    for d in (6, 7, 8):
+        cmds.append((f"verify-single-photon-{d}",
+                     ["protocol", "verify", "--protocol", "single-photon",
+                      "--d", str(d)]))
     cmds += [
-        ("verify-single-photon-8", ["protocol", "verify", "--protocol",
-                                    "single-photon", "--d", "8"]),
         ("run-linear-8-seed", ["protocol", "run", "--protocol", "linear",
                                "--d", "8", "--n", "4", "--seed", "5"]),
         ("run-six-ring-6-seed", ["protocol", "run", "--protocol", "six-ring",
