@@ -559,11 +559,10 @@ class VerificationReport:
 
 def verify_against_target(trace, graph, photon_order):
     """Stabilizer report per enumerated donor outcome, with the corrections
-    of a depth-2 local-correction search.
-
-    ``photon_order`` maps graph vertex i to the photon id sitting there.  A
-    branch passes when the search returns a correction; overall pass
-    requires every outcome to pass.
+    of a local-correction search: depth 2, but depth 1 (Z only) on a
+    one-vertex target, which a Fourier reaches from any one-bin photon.
+    ``photon_order`` maps graph vertex i to the photon id at it.  A branch
+    passes when the search returns a correction, the report when all do.
     """
     if trace.branches is None:
         raise ValueError("verification needs an outcome-enumerated trace "
@@ -577,10 +576,11 @@ def verify_against_target(trace, graph, photon_order):
     if sorted(order) != list(range(graph.n)):
         raise ValueError(f"photon order {order} is not a permutation of "
                          f"the {graph.n} graph vertices")
+    depth = 1 if graph.n == 1 else 2
     results = []
     for br in trace.branches:
         reg = sv.Register(np.transpose(br.photons.amps, order))
-        corr = gm.local_correction_search(reg, graph, search_depth=2)
+        corr = gm.local_correction_search(reg, graph, search_depth=depth)
         results.append(BranchResult(
             br.outcomes, br.probability, corr,
             float("inf") if corr is None else corr.report.max_deviation,

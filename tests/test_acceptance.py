@@ -66,14 +66,11 @@ def test_criterion_2_single_photon_w_state():
         trace = pr.execute(pr.compile_linear(3, 1), enumerate_all=True)
         graph, order = pr.target_graph("single-photon", 3)
         rep = pr.verify_against_target(trace, graph, order)
-        uniform = np.full(3, 1 / np.sqrt(3), dtype=complex)
-        fidelities = [
-            abs(complex(np.vdot(gm.apply_correction(
-                br.photons, res.correction).amps, uniform))) ** 2
-            for br, res in zip(trace.branches, rep.branches)
-            if res.correction is not None]
+        report = cli._single_photon_report(3, trace, rep)
+        fidelities = [row["fidelity"] for row in report["branches"]
+                      if row["fidelity"] is not None]
         worst = min(fidelities, default=0.0)
-    ok = (rep.passed and len(fidelities) == 3 and worst >= 1 - 1e-10
+    ok = (report["passed"] and len(fidelities) == 3 and worst >= 1 - 1e-10
           and t.elapsed < 1.0)
     assert verdict(2, ok, f"every donor outcome collapses to the uniform "
                           f"three-bin state, worst fidelity {worst:.12f}, "

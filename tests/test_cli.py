@@ -25,6 +25,7 @@ from qdonor import fusion as fu
 from qdonor import graphs as gm
 from qdonor import protocols as pr
 from qdonor import spins as sp
+from qdonor import statevec as sv
 
 
 def run(*argv):
@@ -175,7 +176,6 @@ class TestProtocolCommand:
         assert rep["passed"] is False
         assert any("literal" in note for note in rep["notes"])
 
-
     def test_branch_without_correction_writes_null_rows(self, tmp_path,
                                                         monkeypatch):
         monkeypatch.setattr(gm, "local_correction_search",
@@ -187,6 +187,20 @@ class TestProtocolCommand:
         assert rep["branches"] == [
             {"outcomes": [k], "z_correction": None, "fidelity": None}
             for k in range(3)]
+
+    def test_photon_in_one_time_bin_exits_4(self, tmp_path, monkeypatch):
+        # a photon held in bin 1 reaches the one-vertex graph only through
+        # a Fourier, which its Z-only search does not try
+        photon = sv.Register(np.eye(3, dtype=complex)[1])
+        monkeypatch.setattr(pr, "execute", lambda program, **kwargs:
+                            pr.ExecutionTrace(program, (), photon, branches=(
+                                pr.OutcomeBranch((0,), 1.0, photon),)))
+        assert run("protocol", "verify", "--protocol", "single-photon",
+                   "--d", "3", "--output", str(tmp_path)) == 4
+        rep = read_json(tmp_path / "verification.json")
+        assert rep["passed"] is False
+        assert rep["branches"] == [
+            {"outcomes": [0], "z_correction": None, "fidelity": None}]
 
 
 class TestFusionCommand:

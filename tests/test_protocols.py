@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdonor import budget as bg
+from qdonor import cli
 from qdonor import fusion as fu
 from qdonor import graphs as gm
 from qdonor import protocols as pr
@@ -685,21 +686,23 @@ class TestInPlaceExecution:
                           initial=0) <= 1e-12
 
 
-def uniform_rows(trace):
-    """(outcomes, Z power, fidelity with the uniform state) per branch of a
-    single-photon trace, and the overall verdict: the branch's correction
-    from the one-vertex verification, and the fidelity verification.json
-    records for the photon it corrects."""
+def single_photon_report(trace):
+    """The verification.json report of a single-photon trace, from its
+    one-vertex verification."""
     d = trace.program.d
     graph, order = pr.target_graph("single-photon", d)
     rep = pr.verify_against_target(trace, graph, order)
-    uniform = np.full(d, 1 / np.sqrt(d), dtype=complex)
-    rows = []
-    for br, res in zip(trace.branches, rep.branches):
-        photon = gm.apply_correction(br.photons, res.correction)
-        rows.append((br.outcomes, res.correction.z_powers[0],
-                     abs(complex(np.vdot(photon.amps, uniform))) ** 2))
-    return rows, rep.passed
+    return cli._single_photon_report(d, trace, rep)
+
+
+def uniform_rows(trace):
+    """(outcomes, Z power, fidelity with the uniform state) per branch of a
+    single-photon trace, and the overall verdict, as verification.json
+    records them."""
+    report = single_photon_report(trace)
+    rows = [(tuple(row["outcomes"]), row["z_correction"], row["fidelity"])
+            for row in report["branches"]]
+    return rows, report["passed"]
 
 
 def one_photon_trace(amps):
@@ -758,6 +761,7 @@ class TestSinglePhoton:
         graph, _ = pr.target_graph("single-photon", d)
         corr = gm.local_correction_search(reg, graph, search_depth=2)
         assert corr is not None
+        assert corr.fourier_powers == (0,)
         assert corr.report.max_deviation <= gm.STABILIZER_ATOL
         fixed = gm.apply_correction(reg, corr)
         assert np.max(np.abs(fixed.amps - uniform)) <= 1e-10
@@ -779,6 +783,21 @@ class TestSinglePhoton:
         assert not rep.passed and not br.passed
         assert br.correction is None
         assert br.max_deviation == math.inf
+
+    @pytest.mark.parametrize("d", range(2, pr.MAX_SINGLE_PHOTON_D + 1))
+    def test_photon_in_one_time_bin_fails(self, d):
+        """A photon held in one time bin is the one-vertex graph state only
+        up to a Fourier, which the one-vertex verification does not try:
+        its branch fails, and verification.json writes a null row."""
+        graph, order = pr.target_graph("single-photon", d)
+        for k in range(d):
+            trace = one_photon_trace(np.eye(d)[k])
+            br, = pr.verify_against_target(trace, graph, order).branches
+            assert not br.passed and br.correction is None
+            report = single_photon_report(trace)
+            assert report["passed"] is False
+            assert report["branches"] == [
+                {"outcomes": [0], "z_correction": None, "fidelity": None}]
 
 
 class TestLinearProtocol:
