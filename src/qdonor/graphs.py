@@ -9,6 +9,7 @@ deterministic local-correction search.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -231,7 +232,7 @@ def apply_correction(reg, corr):
 def _z_power(mu, d):
     """The power k with <S_v> = omega^k, or None unless |<S_v>| = 1 and its
     phase is a multiple of 2 pi / d (both to 1e-6)."""
-    theta = np.angle(mu) * d / (2 * np.pi)
+    theta = cmath.phase(mu) * d / (2 * cmath.pi)
     if abs(abs(mu) - 1.0) > 1e-6 or abs(theta - round(theta)) > 1e-6:
         return None
     return int(round(theta)) % d
@@ -267,6 +268,14 @@ def local_correction_search(reg, g, search_depth):
     neighbourhood closes: a ring's closing vertex is checked only at the
     last position, and a dense target such as K_n, whose neighbourhoods
     all close there, still costs 4^n candidates.
+
+    Layout: every <S_v> of the screen, the f = 0 pass included, is read
+    from one C-ordered copy of ``reg`` taken at the start of the search.
+    ``np.vdot`` copies an operand that is not C-ordered to C order before
+    it sums, so each expectation keeps its bits, and no read copies the
+    register again.  The leaf check reads ``reg`` in its own layout: its
+    ``np.linalg.norm`` sums in memory order, and the report's deviations
+    are written to the outputs, so their bits are pinned.
     """
     _require_vertex_register(reg, g)
     if search_depth not in (1, 2):
@@ -277,8 +286,9 @@ def local_correction_search(reg, g, search_depth):
     closes = [[] for _ in range(n)]
     for v, fs in enumerate(factors):
         closes[fs[-1][0]].append(v)
-    powers = {fs: _z_power(mu, d)
-              for fs, mu in zip(factors, stabilizer_expectations(reg, g))}
+    ordered = sv.Register(np.ascontiguousarray(reg.amps))
+    powers = {fs: _z_power(mu, d) for fs, mu
+              in zip(factors, stabilizer_expectations(ordered, g))}
     zeros = (0,) * n
     fvec, z = [0] * n, [0] * n
 
@@ -287,7 +297,7 @@ def local_correction_search(reg, g, search_depth):
         for v in closes[p]:
             key = _conjugate(factors[v], fvec, d)
             if key not in powers:
-                powers[key] = _z_power(_expectation(reg, key), d)
+                powers[key] = _z_power(_expectation(ordered, key), d)
             z[v] = powers[key]
             if z[v] is None:
                 return False

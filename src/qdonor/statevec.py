@@ -125,9 +125,12 @@ def _shift_index(d, shift):
 
 
 @functools.cache
-def _z_diagonal(d, power):
-    """The diagonal of Z^power, power in [0, d); built once, read-only."""
-    phases = np.exp(2j * np.pi * power * np.arange(d) / d)
+def _z_diagonal(ndim, axis, d, power):
+    """The diagonal of Z^power, power in [0, d), shaped to broadcast on
+    ``axis`` of an ndim-axis array; built once per key, read-only."""
+    shape = [1] * ndim
+    shape[axis] = d
+    phases = np.exp(2j * np.pi * power * np.arange(d) / d).reshape(shape)
     phases.setflags(write=False)
     return phases
 
@@ -154,11 +157,10 @@ def _roll(amps, axis, shift):
 
 
 def _z_phases(reg, subsystem, power):
-    """The diagonal of Z^p on one subsystem, shaped to broadcast on reg."""
+    """The diagonal of Z^p on one subsystem, shaped to broadcast on reg;
+    cached, so read-only."""
     d = reg.radices[subsystem]
-    shape = [1] * reg.n_subsystems
-    shape[subsystem] = d
-    return _z_diagonal(d, int(power) % d).reshape(shape)
+    return _z_diagonal(reg.n_subsystems, subsystem, d, int(power) % d)
 
 
 def apply_pauli_power(reg, subsystem, kind, power):

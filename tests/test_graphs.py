@@ -8,7 +8,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdonor import fusion as fu
@@ -510,3 +510,103 @@ class TestCorrectionSearch:
         a = gm.local_correction_search(dirty, g, 2)
         b = gm.local_correction_search(dirty, g, 2)
         assert a == b
+
+
+def bits(x):
+    """The IEEE bytes of a float or complex, so -0.0 and 0.0 differ."""
+    return np.array([x]).tobytes()
+
+
+@st.composite
+def scrambled_states(draw):
+    """(register, target graph) as ``verify_against_target`` hands a branch
+    to the search: a dressed state of ``dressed_states`` after a Fourier on
+    a random axis, which leaves that axis outermost in memory, then a random
+    axis permutation, with the target relabelled to match.  Never C-ordered.
+    """
+    reg, g, _ = draw(dressed_states())
+    n = g.n
+    reg = sv.apply_fourier(reg, draw(st.integers(0, n - 1)))
+    perm = draw(st.permutations(range(n)))
+    amps = reg.amps.transpose(perm)
+    assume(not amps.flags.c_contiguous)
+    m = g.matrix()
+    return sv.Register(amps), gm.GraphSpec.from_matrix(g.d,
+                                                       m[np.ix_(perm, perm)])
+
+
+def pinned_layout_case():
+    """A d = 4 five-vertex state whose corrected report reads differently
+    in its own layout and in C order: four of its five deviations differ
+    in the last digits.  Dressed as the ``search`` benchmark dresses its graphs, Z^z,
+    X^x, then F^f on each vertex, so the F^2 on vertex 4 leaves that axis
+    outermost in memory."""
+    d, n = 4, 5
+    m = np.zeros((n, n), dtype=int)
+    m[0, 3] = m[3, 0] = m[2, 4] = m[4, 2] = 2
+    g = gm.GraphSpec.from_matrix(d, m)
+    reg = gm.build_graph_state(g)
+    for v, (z, x, f) in enumerate(zip((1, 0, 1, 2, 0), (2, 3, 0, 3, 2),
+                                      (0, 0, 0, 0, 2))):
+        reg = sv.apply_pauli_power(reg, v, "Z", z)
+        reg = sv.apply_pauli_power(reg, v, "X", x)
+        for _ in range(f):
+            reg = sv.apply_fourier(reg, v)
+    return reg, g
+
+
+class TestSearchLayout:
+    """The screen reads one C-ordered copy of the register; the leaf check
+    reads the register in its own layout."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(scrambled_states(), st.data())
+    def test_copy_keeps_every_bit(self, case, data):
+        reg, g = case
+        ordered = sv.Register(np.ascontiguousarray(reg.amps))
+        m = g.matrix()
+        fvec = data.draw(st.lists(st.integers(0, 3), min_size=g.n,
+                                  max_size=g.n))
+        for v in range(g.n):
+            key = gm._conjugate(gm._stabilizer_factors(m, v), fvec, g.d)
+            assert (bits(gm._expectation(ordered, key))
+                    == bits(gm._expectation(reg, key)))
+        corr = gm.local_correction_search(reg, g, 2)
+        assert corr == gm.local_correction_search(ordered, g, 2)
+        if corr is not None:
+            rep = gm.stabilizer_verify(gm.apply_correction(reg, corr), g)
+            assert ([bits(x) for x in corr.report.deviations]
+                    == [bits(x) for x in rep.deviations])
+
+    def test_report_is_read_in_the_callers_layout(self):
+        reg, g = pinned_layout_case()
+        assert not reg.amps.flags.c_contiguous
+        ordered = sv.Register(np.ascontiguousarray(reg.amps))
+        corr = gm.local_correction_search(reg, g, 2)
+        assert corr is not None
+        own, copied = (
+            gm.stabilizer_verify(gm.apply_correction(r, corr), g).deviations
+            for r in (reg, ordered))
+        assert own != copied   # the pin: the two layouts sum differently
+        assert corr.report.deviations == own
+
+    @pytest.mark.parametrize("case", ["found", "exhausted"])
+    def test_one_expectation_pass_per_search(self, monkeypatch, case):
+        # the f = 0 pass runs once per search, on the C-ordered copy
+        g = gm.make_linear(5, 3)
+        m = g.matrix()
+        if case == "exhausted":
+            m[1, 2] = m[2, 1] = 0
+        reg = sv.apply_fourier(
+            gm.build_graph_state(gm.GraphSpec.from_matrix(3, m)), 3)
+        passes = []
+        expectations = gm.stabilizer_expectations
+
+        def counted(reg, g):
+            passes.append(reg.amps.flags.c_contiguous)
+            return expectations(reg, g)
+
+        monkeypatch.setattr(gm, "stabilizer_expectations", counted)
+        corr = gm.local_correction_search(reg, g, 2)
+        assert (corr is None) == (case == "exhausted")
+        assert passes == [True]

@@ -71,6 +71,15 @@ def command_set():
         cmds.append((f"verify-single-photon-{d}",
                      ["protocol", "verify", "--protocol", "single-photon",
                       "--d", str(d)]))
+    # the search on larger transposed registers; the literal ladder
+    # exhausts it and exits 4
+    for proto in ("six-ring", "ladder"):
+        cmds.append((f"verify-{proto}-6",
+                     ["protocol", "verify", "--protocol", proto, "--d",
+                      "6"]))
+    cmds.append(("verify-literal-6",
+                 ["protocol", "verify", "--protocol", "ladder", "--d", "6",
+                  "--step-order", "literal"]))
     cmds += [
         ("run-linear-8-seed", ["protocol", "run", "--protocol", "linear",
                                "--d", "8", "--n", "4", "--seed", "5"]),
@@ -82,6 +91,7 @@ def command_set():
     ]
     for d in range(2, 6):
         cmds.append((f"fusion-{d}", ["fusion", "--d", str(d)]))
+    for d in range(2, 7):
         cmds.append((f"fusion-{d}-chain6",
                      ["fusion", "--d", str(d), "--chain-n", "6"]))
     # a 4-chain's fused pair carries weight 2 mod d, which is 0 at d = 2
